@@ -42,7 +42,7 @@ from pathlib import Path
 
 from repro.bench.experiments import ExperimentScale, _inverted, _workload
 from repro.core.kernels import kernel_mode
-from repro.exec import BatchExecutor
+from repro.exec import BatchExecutor, ExecContext
 
 _SCALES = {
     "quick": ExperimentScale.quick,
@@ -136,7 +136,8 @@ def _write_compare_dir(directory, series, batch_declared):
     )
     (directory / "BENCH_summary.json").write_text(
         json.dumps(
-            {"kernel": kernel_mode(), "batch": batch_declared}, indent=2
+            {**ExecContext.capture().protocol(), "batch": batch_declared},
+            indent=2,
         )
         + "\n"
     )

@@ -51,7 +51,7 @@ from repro.core.joins import BoundedPairHeap, JoinPair
 from repro.core.kernels import kernel_mode
 from repro.core.queries import EqualityThresholdQuery, EqualityTopKQuery
 from repro.core.relation import UncertainRelation
-from repro.exec import BlockJoinExecutor
+from repro.exec import BlockJoinExecutor, ExecContext
 from repro.storage.buffer import BufferPool
 
 _SCALES = {
@@ -162,7 +162,11 @@ def _write_compare_dir(directory, series, block_declared):
     )
     (directory / "BENCH_summary.json").write_text(
         json.dumps(
-            {"kernel": kernel_mode(), "join_block": block_declared}, indent=2
+            {
+                **ExecContext.capture().protocol(),
+                "join_block": block_declared,
+            },
+            indent=2,
         )
         + "\n"
     )

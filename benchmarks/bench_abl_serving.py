@@ -51,7 +51,7 @@ from pathlib import Path
 
 from repro.bench.experiments import ExperimentScale, _inverted, _workload
 from repro.core.kernels import kernel_mode
-from repro.exec import ServingExecutor
+from repro.exec import ExecContext, ServingExecutor
 from repro.obs.trace import tracing_to_path
 
 _SCALES = {
@@ -320,7 +320,11 @@ def main(argv=None):
     )
     (measure_dir / "BENCH_summary.json").write_text(
         json.dumps(
-            {"kernel": kernel_mode(), "batch": 1, "mode": "measure"},
+            {
+                **ExecContext.capture().protocol(),
+                "batch": 1,
+                "mode": "measure",
+            },
             indent=2,
         )
         + "\n"

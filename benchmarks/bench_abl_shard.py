@@ -67,6 +67,7 @@ from pathlib import Path
 from repro.bench.experiments import ExperimentScale, _dataset, _workload
 from repro.bench.harness import IndexUnderTest, measure_query
 from repro.core.kernels import kernel_mode
+from repro.exec import ExecContext
 from repro.invindex.index import ProbabilisticInvertedIndex
 from repro.obs.trace import tracing_to_path
 from repro.shard import (
@@ -142,19 +143,18 @@ def _series_point(x, reads_list, tags_list, sizes):
     }
 
 
-def _write_measure_dir(directory, series, backend_keys):
+def _write_measure_dir(directory, series):
     directory.mkdir(parents=True, exist_ok=True)
     (directory / "BENCH_abl_shard_points.json").write_text(
         json.dumps({"series": series}, indent=2) + "\n"
     )
     summary = {
-        "kernel": kernel_mode(),
+        **ExecContext.capture().protocol(),
         "batch": 1,
         "mode": "measure",
         "shards": 1,
         "transport": "local",
     }
-    summary.update(backend_keys)
     (directory / "BENCH_summary.json").write_text(
         json.dumps(summary, indent=2) + "\n"
     )
@@ -440,8 +440,8 @@ def main(argv=None):
     (results_dir / "BENCH_abl_shard.json").write_text(
         json.dumps(payload, indent=2) + "\n"
     )
-    _write_measure_dir(results_dir / "measure_single", single_series, {})
-    _write_measure_dir(results_dir / "measure_shards1", shards1_series, {})
+    _write_measure_dir(results_dir / "measure_single", single_series)
+    _write_measure_dir(results_dir / "measure_shards1", shards1_series)
 
     failures = []
     if args.assert_speedup is not None:

@@ -65,6 +65,7 @@ from repro.core.kernels import kernel_mode
 from repro.core.relation import UncertainRelation
 from repro.core.queries import SimilarityThresholdQuery, SimilarityTopKQuery
 from repro.core.uda import UncertainAttribute
+from repro.exec import ExecContext
 from repro.invindex.index import ProbabilisticInvertedIndex
 from repro.obs.trace import tracing_to_path
 from repro.pdrtree.tree import PDRTree
@@ -228,7 +229,7 @@ def _write_measure_dir(directory, series, sketch_mode):
         json.dumps({"series": series}, indent=2) + "\n"
     )
     summary = {
-        "kernel": kernel_mode(),
+        **ExecContext.capture().protocol(),
         "batch": 1,
         "mode": "measure",
         "shards": 1,

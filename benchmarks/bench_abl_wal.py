@@ -46,7 +46,7 @@ from pathlib import Path
 
 from repro.bench.experiments import ExperimentScale, _dataset, _workload
 from repro.core.kernels import kernel_mode
-from repro.exec import ServingExecutor
+from repro.exec import ExecContext, ServingExecutor
 from repro.invindex import ProbabilisticInvertedIndex
 from repro.obs.trace import tracing_to_path
 from repro.wal import WriteAheadLog
@@ -292,7 +292,11 @@ def main(argv=None):
     (results_dir / "BENCH_abl_wal.json").write_text(
         json.dumps(payload, indent=2) + "\n"
     )
-    summary = {"kernel": kernel_mode(), "batch": 1, "mode": "measure"}
+    summary = {
+        **ExecContext.capture().protocol(),
+        "batch": 1,
+        "mode": "measure",
+    }
     for leg in ("static", "incremental"):
         leg_dir = results_dir / leg
         leg_dir.mkdir(parents=True, exist_ok=True)

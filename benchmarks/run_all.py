@@ -37,15 +37,12 @@ from repro.bench import (
     result_to_dict,
     run_experiments,
 )
-from repro.core.kernels import kernel_mode
-from repro.exec import resolve_batch, resolve_join_block
+from repro.exec import ExecContext
 from repro.obs.metrics import MetricsRegistry
-from repro.sketch import resolve_sketch
 from repro.obs.trace import TRACE_ENV, resolve_trace_path
 from repro.storage.backends import (
     BACKEND_ENV,
     BACKEND_NAMES,
-    active_backend_spec,
     set_active_backend,
 )
 from repro.storage.buffer import DECODED_CACHE_ENV
@@ -126,19 +123,18 @@ def main(argv: list[str] | None = None) -> int:
         _SCALES[args.scale]() if args.scale else ExperimentScale.from_env()
     )
     jobs = resolve_jobs(args.jobs)
-    batch = resolve_batch(args.batch)
-    join_block = resolve_join_block(args.join_block)
     if args.backend is not None:
         set_active_backend(args.backend)
-    backend = active_backend_spec()  # resolved once; shipped to workers
+    # Resolved once; run_experiments ships the same values to workers.
+    ctx = ExecContext.capture(batch=args.batch, join_block=args.join_block)
     names = args.experiments or list(ALL_EXPERIMENTS)
     results_dir = args.results_dir
     results_dir.mkdir(parents=True, exist_ok=True)
     print(
         f"scale: crm={scale.crm_tuples} synth={scale.synth_tuples} "
         f"qpp={scale.queries_per_point}  jobs={jobs}  "
-        f"kernel={kernel_mode()}  batch={batch}  join_block={join_block}  "
-        f"backend={backend.name}"
+        f"kernel={ctx.kernel}  batch={ctx.batch}  "
+        f"join_block={ctx.join_block}  backend={ctx.backend.name}"
     )
 
     trace_path = resolve_trace_path(
@@ -159,14 +155,10 @@ def main(argv: list[str] | None = None) -> int:
     # shard protocol matches.
     summary = {
         "jobs": jobs,
-        "kernel": kernel_mode(),
-        "batch": batch,
-        "join_block": join_block,
+        **ctx.protocol(),
         "mode": "measure",
-        "backend": backend.name,
         "shards": 1,
         "transport": "local",
-        "sketch": resolve_sketch(),
         "decoded_cache": os.environ.get(DECODED_CACHE_ENV, "default"),
         "scale": {
             "crm_tuples": scale.crm_tuples,
@@ -181,8 +173,8 @@ def main(argv: list[str] | None = None) -> int:
         jobs,
         trace_path=trace_path,
         metrics=metrics,
-        batch=batch,
-        join_block=join_block,
+        batch=ctx.batch,
+        join_block=ctx.join_block,
     ):
         table = format_result(result)
         print(table)

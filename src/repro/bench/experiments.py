@@ -531,6 +531,7 @@ def ablation_join(scale: ExperimentScale | None = None) -> ExperimentResult:
     """
     from repro.exec.join import BlockJoinExecutor, resolve_join_block
     from repro.storage.buffer import BufferPool
+    from repro.storage.stats import MeasureScope
 
     scale = scale or ExperimentScale.from_env()
     block = resolve_join_block()
@@ -554,18 +555,17 @@ def ablation_join(scale: ExperimentScale | None = None) -> ExperimentResult:
             # default block size 1 the engine delegates to the legacy
             # per-probe join, so the committed baseline is unchanged.
             engine = BlockJoinExecutor(relation, index, block_size=block)
-            before = index.disk.stats.snapshot()
-            join = engine.petj(outer, threshold)
-            delta = index.disk.stats.delta_since(before)
+            with MeasureScope(index.disk) as scope:
+                join = engine.petj(outer, threshold)
             result.add_point(
                 f"{name}-Thres",
                 SeriesPoint(
                     x=threshold,
-                    mean_reads=delta.reads / sample,
+                    mean_reads=scope.reads / sample,
                     num_queries=sample,
                     mean_result_size=len(join) / sample,
-                    total_checksum_failures=delta.checksum_failures,
-                    total_faults_injected=delta.faults_injected,
+                    total_checksum_failures=scope.stats.checksum_failures,
+                    total_faults_injected=scope.stats.faults_injected,
                     # The merged per-probe work counters the join used to
                     # drop (kept out of mean_reads_by_tag, whose committed
                     # baseline for this experiment is empty).

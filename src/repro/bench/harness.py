@@ -12,6 +12,7 @@ experiments can sweep structure x strategy x query kind.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from statistics import mean
 
@@ -24,6 +25,7 @@ from repro.obs import trace as _trace
 from repro.obs.metrics import METRICS, hit_rate
 from repro.pdrtree.tree import PDRTree
 from repro.storage.buffer import DEFAULT_POOL_SIZE, BufferPool
+from repro.storage.stats import MeasureScope
 
 
 @dataclass
@@ -35,13 +37,7 @@ class IndexUnderTest:
     strategy: str | None = None  # inverted-index search strategy
 
     def execute(self, query: Query) -> QueryResult:
-        if isinstance(self.index, ProbabilisticInvertedIndex):
-            return self.index.execute(
-                query, strategy=self.strategy or "highest_prob_first"
-            )
-        if self.strategy is not None:
-            raise QueryError("PDR-tree takes no search strategy")
-        return self.index.execute(query)
+        return self.index.execute(query, strategy=self.strategy)
 
 
 @dataclass
@@ -133,6 +129,26 @@ class ExperimentResult:
         return sorted(positions)
 
 
+def _bench_tracing():
+    """The installed bench collector, and the tracing scope of a measurement.
+
+    Entering the scope yields the tracer the measurement's own records
+    go to (``None``: tracing is off).  An already active tracer is left
+    alone; otherwise a ``--trace`` run's collector tracer is activated
+    for the measured execution only, so index builds and dataset
+    generation (which per-process caches may skip) never appear in the
+    trace.
+    """
+    collector = _trace.BENCH_COLLECTOR
+    if (
+        _trace.ACTIVE is None
+        and collector is not None
+        and collector.tracer is not None
+    ):
+        return collector, _trace.tracing(collector.tracer)
+    return collector, nullcontext(_trace.ACTIVE)
+
+
 def measure_query(
     under_test: IndexUnderTest,
     query: Query,
@@ -146,63 +162,43 @@ def measure_query(
     returned :attr:`Measurement.metrics` delta exactly this query's event
     histogram.  Under a benchmark run with ``--trace``, the installed
     :class:`~repro.obs.trace.BenchCollector`'s tracer is activated around
-    ``execute`` only, so index builds and dataset generation (which may
-    be skipped by per-process caches) never appear in the trace.
+    ``execute`` only (:func:`_bench_tracing`).
     """
     index = under_test.index
     pool = BufferPool(index.disk, pool_size)
     index.pool = pool
-    collector = _trace.BENCH_COLLECTOR
-    tracer = _trace.ACTIVE
-    bench_tracer = None
-    if tracer is None and collector is not None:
-        bench_tracer = collector.tracer
-    emit = tracer if tracer is not None else bench_tracer
-    metrics_before = METRICS.snapshot()
-    before = index.disk.stats.snapshot()
-    tags_before = index.disk.snapshot_tags()
-    if emit is not None:
-        emit.event(
-            "measure.begin",
-            index=under_test.name,
-            query=type(query).__name__,
-            pool_size=pool_size,
-            backend=index.disk.backend.name,
-        )
-    if bench_tracer is not None:
-        with _trace.tracing(bench_tracer):
-            result = under_test.execute(query)
-    else:
+    collector, tracing = _bench_tracing()
+    with MeasureScope(index.disk, metrics=METRICS) as scope, tracing as emit:
+        if emit is not None:
+            emit.event(
+                "measure.begin",
+                index=under_test.name,
+                query=type(query).__name__,
+                pool_size=pool_size,
+                backend=index.disk.backend.name,
+            )
         result = under_test.execute(query)
-    delta = index.disk.stats.delta_since(before)
-    metrics_delta = METRICS.delta_since(metrics_before)
     if emit is not None:
         emit.event(
             "measure.end",
             index=under_test.name,
-            reads=delta.reads,
+            reads=scope.reads,
             matches=len(result),
         )
     if collector is not None:
-        collector.metrics.merge(metrics_delta)
-    tags_after = index.disk.snapshot_tags()
-    breakdown = {
-        tag: tags_after[tag] - tags_before.get(tag, 0)
-        for tag in tags_after
-        if tags_after[tag] != tags_before.get(tag, 0)
-    }
+        collector.metrics.merge(scope.metrics)
     return Measurement(
-        reads=delta.reads,
+        reads=scope.reads,
         result_size=len(result),
-        reads_by_tag=breakdown,
-        pool_hits=metrics_delta.get("pool.hit", 0),
-        pool_misses=metrics_delta.get("pool.miss", 0),
-        decoded_hits=metrics_delta.get("decoded.hit", 0),
-        decoded_misses=metrics_delta.get("decoded.miss", 0),
-        checksum_failures=delta.checksum_failures,
+        reads_by_tag=scope.reads_by_tag,
+        pool_hits=scope.metrics.get("pool.hit", 0),
+        pool_misses=scope.metrics.get("pool.miss", 0),
+        decoded_hits=scope.metrics.get("decoded.hit", 0),
+        decoded_misses=scope.metrics.get("decoded.miss", 0),
+        checksum_failures=scope.stats.checksum_failures,
         retries=pool.retries,
-        faults_injected=delta.faults_injected,
-        metrics=metrics_delta,
+        faults_injected=scope.stats.faults_injected,
+        metrics=scope.metrics,
         stop_reason=result.stats.stop_reason,
     )
 
@@ -282,49 +278,32 @@ def _measure_point_batched(
     index = under_test.index
     executor = BatchExecutor(
         index,
-        strategy=under_test.strategy
-        if isinstance(index, ProbabilisticInvertedIndex)
-        else None,
+        strategy=under_test.strategy,
         pool_size=pool_size,
         batch_size=batch,
     )
-    collector = _trace.BENCH_COLLECTOR
-    tracer = _trace.ACTIVE
-    bench_tracer = None
-    if tracer is None and collector is not None:
-        bench_tracer = collector.tracer
-    metrics_before = METRICS.snapshot()
-    before = index.disk.stats.snapshot()
-    tags_before = index.disk.snapshot_tags()
-    if bench_tracer is not None:
-        with _trace.tracing(bench_tracer):
-            results = executor.run(query_list)
-    else:
+    collector, tracing = _bench_tracing()
+    with MeasureScope(index.disk, metrics=METRICS) as scope, tracing:
         results = executor.run(query_list)
-    delta = index.disk.stats.delta_since(before)
-    metrics_delta = METRICS.delta_since(metrics_before)
     if collector is not None:
-        collector.metrics.merge(metrics_delta)
-    tags_after = index.disk.snapshot_tags()
+        collector.metrics.merge(scope.metrics)
     n = len(query_list)
     return SeriesPoint(
         x=x,
-        mean_reads=delta.reads / n,
+        mean_reads=scope.reads / n,
         num_queries=n,
         mean_result_size=mean(len(result) for result in results),
         mean_reads_by_tag={
-            tag: (tags_after[tag] - tags_before.get(tag, 0)) / n
-            for tag in tags_after
-            if tags_after[tag] != tags_before.get(tag, 0)
+            tag: count / n for tag, count in scope.reads_by_tag.items()
         },
         mean_pool_hit_rate=hit_rate(
-            metrics_delta.get("pool.hit", 0), metrics_delta.get("pool.miss", 0)
+            scope.metrics.get("pool.hit", 0), scope.metrics.get("pool.miss", 0)
         ),
         mean_decoded_hit_rate=hit_rate(
-            metrics_delta.get("decoded.hit", 0),
-            metrics_delta.get("decoded.miss", 0),
+            scope.metrics.get("decoded.hit", 0),
+            scope.metrics.get("decoded.miss", 0),
         ),
-        total_checksum_failures=delta.checksum_failures,
-        total_retries=metrics_delta.get("pool.retry", 0),
-        total_faults_injected=delta.faults_injected,
+        total_checksum_failures=scope.stats.checksum_failures,
+        total_retries=scope.metrics.get("pool.retry", 0),
+        total_faults_injected=scope.stats.faults_injected,
     )

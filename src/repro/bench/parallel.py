@@ -29,21 +29,10 @@ from repro.bench.experiments import ALL_EXPERIMENTS, ExperimentScale
 from repro.bench.harness import ExperimentResult
 from repro.core.config import parse_int_knob, read_env_int
 from repro.core.exceptions import QueryError
-from repro.exec import (
-    batch_override,
-    join_block_override,
-    resolve_batch,
-    resolve_join_block,
-)
+from repro.exec import ExecContext
 from repro.obs import trace as _trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import BenchCollector, MemorySink, Tracer
-from repro.storage.backends import (
-    BackendSpec,
-    active_backend_spec,
-    backend_scope,
-)
-from repro.storage.faults import FaultPlan, active_plan, fault_plan
 
 #: Environment variable supplying the default worker count.
 JOBS_ENV = "REPRO_JOBS"
@@ -70,11 +59,8 @@ def resolve_jobs(jobs: int | None = None) -> int:
 def _run_one(
     name: str,
     scale: ExperimentScale,
-    plan: FaultPlan | None = None,
+    ctx: ExecContext,
     trace: bool = False,
-    batch: int | None = None,
-    join_block: int | None = None,
-    backend: BackendSpec | None = None,
 ) -> tuple[ExperimentResult, float, list[str] | None, dict[str, int]]:
     """Run one experiment by name.
 
@@ -86,28 +72,19 @@ def _run_one(
 
     Module-level so worker processes can unpickle it; the experiment
     callable itself is looked up in the worker, keeping the payload to a
-    name plus the (frozen, picklable) scale and fault plan.  The plan is
-    passed *by value* rather than re-read from the environment so workers
-    inject identical fault sequences regardless of fork/spawn semantics;
-    the override is scoped so inline runs don't leak it into the caller.
+    name plus the (frozen, picklable) scale and execution context.  The
+    context is passed *by value* rather than re-read from the
+    environment so workers run under identical settings (and inject
+    identical fault sequences) regardless of fork/spawn semantics; it is
+    scoped so inline runs don't leak it into the caller.
     The collector's tracer is activated only around measured queries (see
     :func:`repro.bench.harness.measure_query`), so the trace — like the
     metrics — is byte-identical whether the experiment ran inline against
     warm per-process caches or in a cold worker.  The experiment
     begin/end markers deliberately carry no timing fields.
     """
-    if plan is None:
-        plan = active_plan()
-    if batch is None:
-        batch = resolve_batch()
-    if join_block is None:
-        join_block = resolve_join_block()
-    if backend is None:
-        backend = active_backend_spec()
     collector = BenchCollector(Tracer(MemorySink()) if trace else None)
-    with fault_plan(plan), batch_override(batch), join_block_override(
-        join_block
-    ), backend_scope(backend), _trace.bench_collection(collector):
+    with ctx.scope(), _trace.bench_collection(collector):
         if collector.tracer is not None:
             collector.tracer.event("experiment.begin", name=name)
         started = time.perf_counter()
@@ -150,10 +127,8 @@ def run_experiments(
     if unknown:
         raise QueryError(f"unknown experiment(s): {', '.join(unknown)}")
     jobs = resolve_jobs(jobs)
-    plan = active_plan()  # resolve once; ship the same plan to every worker
-    batch = resolve_batch(batch)  # likewise shipped by value
-    join_block = resolve_join_block(join_block)
-    backend = active_backend_spec()  # likewise: workers never re-read env
+    # Resolve once; ship the same settings to every worker by value.
+    ctx = ExecContext.capture(batch=batch, join_block=join_block)
     trace = trace_path is not None
     trace_file = open(trace_path, "w", encoding="utf-8") if trace else None
 
@@ -167,7 +142,7 @@ def run_experiments(
         if jobs == 1 or len(names) <= 1:
             for name in names:
                 result, elapsed, lines, snapshot = _run_one(
-                    name, scale, plan, trace, batch, join_block, backend
+                    name, scale, ctx, trace
                 )
                 absorb(lines, snapshot)
                 yield name, result, elapsed
@@ -176,16 +151,7 @@ def run_experiments(
             max_workers=min(jobs, len(names))
         ) as executor:
             futures = [
-                executor.submit(
-                    _run_one,
-                    name,
-                    scale,
-                    plan,
-                    trace,
-                    batch,
-                    join_block,
-                    backend,
-                )
+                executor.submit(_run_one, name, scale, ctx, trace)
                 for name in names
             ]
             for name, future in zip(names, futures):

@@ -1,9 +1,10 @@
-"""Shared parsing for ``REPRO_*`` environment knobs.
+"""Shared parsing and precedence for ``REPRO_*`` environment knobs.
 
-Every execution knob in the repository — ``REPRO_BATCH``,
-``REPRO_JOIN_BLOCK``, ``REPRO_JOBS``, ``REPRO_DECODED_CACHE``, the
-``REPRO_SERVE_*`` family — funnels through the two readers here, so a
-malformed value always fails the same way: a
+Every execution knob in the repository — ``REPRO_KERNEL``,
+``REPRO_BATCH``, ``REPRO_JOIN_BLOCK``, ``REPRO_SKETCH``,
+``REPRO_BACKEND``, the ``REPRO_FAULT_*`` and ``REPRO_SERVE_*`` families,
+``REPRO_JOBS``, ``REPRO_DECODED_CACHE`` — funnels through the readers
+here, so a malformed value always fails the same way: a
 :class:`~repro.core.exceptions.ConfigError` (a :class:`ValueError`)
 whose message *names the variable*, never a bare ``int()`` traceback
 that leaves the operator grepping for which of a dozen knobs was wrong.
@@ -13,17 +14,29 @@ per-knob *special words* ("off", "auto", "default", ...) that map to
 sentinel values, because several knobs accept an English word alongside
 an integer.  A special word may map to ``None``, meaning "treat as
 unset" — the caller then applies its own computed default.
+
+:class:`Knob` is the one implementation of the precedence every
+*ambient* setting follows — explicit argument > scoped override >
+environment > default.  The six settings that change how a probe
+executes each declare one instance in the module that owns them and
+bind their public names to its methods; ``docs/architecture.md``
+("Configuration") lists them.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Mapping
+from contextlib import contextmanager
+from functools import partial
+from typing import Any, Callable, Iterator, Mapping
 
 from repro.core.exceptions import ConfigError
 
 __all__ = [
     "ConfigError",
+    "Knob",
+    "int_knob",
+    "choice_knob",
     "parse_int_knob",
     "parse_float_knob",
     "parse_choice_knob",
@@ -157,3 +170,91 @@ def read_env_float(
     if raw == "":
         return None
     return parse_float_knob(raw, name, minimum=minimum)
+
+
+class Knob:
+    """One ambient setting: explicit arg > scoped override > env > default.
+
+    ``parse`` validates and normalizes a programmatic value (explicit
+    arguments and overrides go through it, so they share the
+    environment path's range checks); ``from_env`` reads the setting's
+    environment variable(s) and returns ``None`` when they are unset;
+    ``default`` is what :meth:`resolve` then falls back to.
+
+    The override is process-local state on the instance, so an ambient
+    read costs one attribute check plus one environment read.  Worker
+    processes never rely on either: the resolved value is shipped to
+    them inside an :class:`~repro.exec.context.ExecContext`.
+    """
+
+    __slots__ = ("_parse", "_from_env", "_default", "_override")
+
+    def __init__(
+        self,
+        parse: Callable[[Any], Any],
+        from_env: Callable[[], Any],
+        default: Any = None,
+    ) -> None:
+        self._parse = parse
+        self._from_env = from_env
+        self._default = default
+        self._override: Any = None
+
+    def resolve(self, value: Any = None) -> Any:
+        """The effective value: ``value`` if given, else override, env, default.
+
+        A malformed environment value raises a :class:`ConfigError`
+        naming the variable.
+        """
+        if value is not None:
+            return self._parse(value)
+        if self._override is not None:
+            return self._override
+        value = self._from_env()
+        return self._default if value is None else value
+
+    def set(self, value: Any) -> None:
+        """Install (or with ``None`` clear) the process-wide override."""
+        self._override = None if value is None else self._parse(value)
+
+    @contextmanager
+    def override(self, value: Any) -> Iterator[None]:
+        """Scope an override to a block; the previous one returns on exit."""
+        previous = self._override
+        self.set(value)
+        try:
+            yield
+        finally:
+            self._override = previous
+
+
+def int_knob(
+    env: str,
+    label: str,
+    *,
+    minimum: int,
+    special: Mapping[str, int | None],
+    default: int,
+) -> Knob:
+    """A :class:`Knob` over an integer environment variable."""
+    return Knob(
+        partial(parse_int_knob, name=label, minimum=minimum),
+        partial(read_env_int, env, minimum=minimum, special=special),
+        default,
+    )
+
+
+def choice_knob(
+    env: str,
+    label: str,
+    *,
+    choices: tuple[str, ...],
+    special: Mapping[str, str | None],
+    default: str,
+) -> Knob:
+    """A :class:`Knob` over an enumerated environment variable."""
+    return Knob(
+        partial(parse_choice_knob, name=label, choices=choices),
+        partial(read_env_choice, env, choices=choices, special=special),
+        default,
+    )

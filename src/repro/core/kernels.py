@@ -37,12 +37,10 @@ scopes a choice to a block of code.
 from __future__ import annotations
 
 import math
-import os
-from contextlib import contextmanager
 
 import numpy as np
 
-from repro.core.exceptions import QueryError
+from repro.core.config import choice_knob
 
 #: Environment variable selecting the kernel implementation.
 KERNEL_ENV = "REPRO_KERNEL"
@@ -50,43 +48,22 @@ KERNEL_ENV = "REPRO_KERNEL"
 #: Recognized kernel modes.
 KERNEL_MODES = ("vectorized", "scalar")
 
-#: Process-local override installed by :func:`kernel_override`.
-_OVERRIDE: str | None = None
-
-
-def kernel_mode() -> str:
-    """The active kernel mode: override, else ``REPRO_KERNEL``, else vectorized."""
-    if _OVERRIDE is not None:
-        return _OVERRIDE
-    raw = os.environ.get(KERNEL_ENV, "").strip().lower()
-    if raw in ("", "default", "on"):
-        return "vectorized"
-    if raw not in KERNEL_MODES:
-        raise QueryError(
-            f"{KERNEL_ENV} must be one of {KERNEL_MODES}, got {raw!r}"
-        )
-    return raw
+#: The kernel knob: :func:`kernel_override` > ``REPRO_KERNEL`` >
+#: vectorized (see :class:`repro.core.config.Knob`).
+KERNEL = choice_knob(
+    KERNEL_ENV,
+    "kernel mode",
+    choices=KERNEL_MODES,
+    special={"default": "vectorized", "on": "vectorized"},
+    default="vectorized",
+)
+kernel_mode = KERNEL.resolve
+kernel_override = KERNEL.override
 
 
 def vectorized() -> bool:
     """Whether the vectorized kernels are active."""
     return kernel_mode() == "vectorized"
-
-
-@contextmanager
-def kernel_override(mode: str):
-    """Scope a kernel mode to a block (used by tests and worker processes)."""
-    global _OVERRIDE
-    if mode not in KERNEL_MODES:
-        raise QueryError(
-            f"kernel mode must be one of {KERNEL_MODES}, got {mode!r}"
-        )
-    previous = _OVERRIDE
-    _OVERRIDE = mode
-    try:
-        yield
-    finally:
-        _OVERRIDE = previous
 
 
 # ---------------------------------------------------------------------------

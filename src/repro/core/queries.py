@@ -221,3 +221,46 @@ Query = (
     | SimilarityTopKQuery
     | WindowedEqualityQuery
 )
+
+
+def check_pushed_bounds(
+    query: Query,
+    tau_floor: float,
+    sketch: str | None,
+    div_ceiling: float | None,
+) -> bool:
+    """Validate the bounds a caller pushes down beside ``query``.
+
+    ``tau_floor`` (a rank-join / shard-coordinator lower bound on the
+    global k-th score) only applies to :class:`EqualityTopKQuery`;
+    ``sketch`` (a per-request ``REPRO_SKETCH`` override) only to
+    similarity descriptors; ``div_ceiling`` (the dual of ``tau_floor``:
+    the global k-th divergence) only to :class:`SimilarityTopKQuery`.
+    Both index families call this first, so a non-applicable bound is
+    refused the same way everywhere instead of being silently ignored.
+    Returns whether ``query`` is a similarity descriptor.
+    """
+    similarity = isinstance(
+        query, (SimilarityThresholdQuery, SimilarityTopKQuery)
+    )
+    if sketch is not None and not similarity:
+        raise QueryError(
+            "sketch mode only applies to similarity queries; got "
+            f"{type(query).__name__}"
+        )
+    if div_ceiling is not None:
+        if not isinstance(query, SimilarityTopKQuery):
+            raise QueryError(
+                "div_ceiling only applies to similarity top-k "
+                f"queries; got {type(query).__name__}"
+            )
+        if div_ceiling < 0.0:
+            raise QueryError(f"div_ceiling must be >= 0, got {div_ceiling}")
+    if tau_floor < 0.0:
+        raise QueryError(f"tau_floor must be >= 0, got {tau_floor}")
+    if tau_floor > 0.0 and not isinstance(query, EqualityTopKQuery):
+        raise QueryError(
+            "tau_floor only applies to top-k queries; got "
+            f"{type(query).__name__}"
+        )
+    return similarity

@@ -6,7 +6,8 @@ is the block rank-join engine — shared-scan probing, adaptive top-k
 thresholds, and parallel outer partitioning (see ``docs/joins.md``);
 :mod:`repro.exec.serving` is the measure/serve protocol split — a
 long-lived warm pool with per-request stats-delta I/O attribution
-(see ``docs/serving.md``).
+(see ``docs/serving.md``); :mod:`repro.exec.context` is the value that
+carries the ambient settings to worker processes.
 """
 
 from repro.exec.batch import (
@@ -23,6 +24,7 @@ from repro.exec.join import (
     parallel_join,
     resolve_join_block,
 )
+from repro.exec.context import ExecContext
 from repro.exec.serving import (
     DEFAULT_SERVE_POOL_SIZE,
     DEFAULT_TUPLE_CACHE_ENTRIES,
@@ -43,6 +45,7 @@ __all__ = [
     "join_block_override",
     "parallel_join",
     "resolve_join_block",
+    "ExecContext",
     "DEFAULT_SERVE_POOL_SIZE",
     "DEFAULT_TUPLE_CACHE_ENTRIES",
     "GenerationalTupleCache",

@@ -36,9 +36,9 @@ batched reads may legally drop below the per-query baseline.
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 
-from repro.core.config import parse_int_knob, read_env_int
+from repro.core.config import int_knob
 from repro.core.exceptions import QueryError
 from repro.core.queries import (
     EqualityQuery,
@@ -62,40 +62,19 @@ BATCH_ENV = "REPRO_BATCH"
 #: prefetching (see :meth:`BufferPool.fetch_many`'s ``reserve``).
 DEFAULT_PIN_RESERVE = 8
 
-#: Process-local override installed by :func:`batch_override`.
-_OVERRIDE: int | None = None
-
-
-def resolve_batch(batch: int | None = None) -> int:
-    """The effective batch size: explicit arg > override > env > 1.
-
-    An unset / empty / ``off`` environment value means batch size 1 —
-    the per-query protocol, which is always the I/O baseline.  A
-    malformed ``REPRO_BATCH`` raises a
-    :class:`~repro.core.exceptions.ConfigError` naming the variable
-    (see :mod:`repro.core.config`).
-    """
-    if batch is not None:
-        return parse_int_knob(batch, "batch size", minimum=1)
-    if _OVERRIDE is not None:
-        return _OVERRIDE
-    value = read_env_int(
-        BATCH_ENV, minimum=1, special={"off": 1, "default": 1}
-    )
-    return 1 if value is None else value
-
-
-@contextmanager
-def batch_override(batch: int):
-    """Scope a batch size to a block (tests and worker processes)."""
-    global _OVERRIDE
-    batch = parse_int_knob(batch, "batch size", minimum=1)
-    previous = _OVERRIDE
-    _OVERRIDE = batch
-    try:
-        yield
-    finally:
-        _OVERRIDE = previous
+#: The batch-size knob: explicit arg > :func:`batch_override` >
+#: ``REPRO_BATCH`` > 1 (see :class:`repro.core.config.Knob`).  An unset
+#: / empty / ``off`` environment value means batch size 1 — the
+#: per-query protocol, which is always the I/O baseline.
+BATCH = int_knob(
+    BATCH_ENV,
+    "batch size",
+    minimum=1,
+    special={"off": 1, "default": 1},
+    default=1,
+)
+resolve_batch = BATCH.resolve
+batch_override = BATCH.override
 
 
 def touched_items(query: Query, domain_size: int | None = None) -> list[int]:
@@ -255,11 +234,7 @@ class BatchExecutor:
     # -- internals ----------------------------------------------------------
 
     def _execute(self, query: Query) -> QueryResult:
-        if isinstance(self.index, ProbabilisticInvertedIndex):
-            return self.index.execute(
-                query, strategy=self.strategy or "highest_prob_first"
-            )
-        return self.index.execute(query)
+        return self.index.execute(query, strategy=self.strategy)
 
     def _structure(self) -> str:
         return (

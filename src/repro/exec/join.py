@@ -49,10 +49,10 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 
 from repro.core import kernels
-from repro.core.config import parse_int_knob, read_env_int
+from repro.core.config import int_knob
 from repro.core.exceptions import QueryError
 from repro.core.joins import (
     BoundedPairHeap,
@@ -88,40 +88,19 @@ JOIN_BLOCK_ENV = "REPRO_JOIN_BLOCK"
 #: Join kinds :meth:`BlockJoinExecutor.run_outer` dispatches on.
 JOIN_KINDS = ("petj", "pej_top_k", "dstj")
 
-#: Process-local override installed by :func:`join_block_override`.
-_OVERRIDE: int | None = None
-
-
-def resolve_join_block(block: int | None = None) -> int:
-    """The effective join block size: explicit arg > override > env > 1.
-
-    An unset / empty / ``off`` environment value means block size 1 —
-    the per-probe protocol, which is always the I/O baseline.  A
-    malformed ``REPRO_JOIN_BLOCK`` raises a
-    :class:`~repro.core.exceptions.ConfigError` naming the variable
-    (see :mod:`repro.core.config`).
-    """
-    if block is not None:
-        return parse_int_knob(block, "join block size", minimum=1)
-    if _OVERRIDE is not None:
-        return _OVERRIDE
-    value = read_env_int(
-        JOIN_BLOCK_ENV, minimum=1, special={"off": 1, "default": 1}
-    )
-    return 1 if value is None else value
-
-
-@contextmanager
-def join_block_override(block: int):
-    """Scope a join block size to a block (tests and worker processes)."""
-    global _OVERRIDE
-    block = parse_int_knob(block, "join block size", minimum=1)
-    previous = _OVERRIDE
-    _OVERRIDE = block
-    try:
-        yield
-    finally:
-        _OVERRIDE = previous
+#: The join-block knob: explicit arg > :func:`join_block_override` >
+#: ``REPRO_JOIN_BLOCK`` > 1 (see :class:`repro.core.config.Knob`).  An
+#: unset / empty / ``off`` environment value means block size 1 — the
+#: per-probe protocol, which is always the I/O baseline.
+JOIN_BLOCK = int_knob(
+    JOIN_BLOCK_ENV,
+    "join block size",
+    minimum=1,
+    special={"off": 1, "default": 1},
+    default=1,
+)
+resolve_join_block = JOIN_BLOCK.resolve
+join_block_override = JOIN_BLOCK.override
 
 
 def _block_begin(join_kind: str, block: int, size: int, **fields) -> None:
@@ -347,12 +326,12 @@ class BlockJoinExecutor:
         if disk is not None:
             self.inner.pool = BufferPool(disk, self.pool_size)
 
-    def _execute(self, query):
-        if self._inverted():
-            return self.inner.execute(
-                query, strategy=self.strategy or "highest_prob_first"
-            )
-        return self.inner.execute(query)
+    def _execute(self, query, tau_floor: float = 0.0):
+        if self.right_index is None:
+            return self.right.execute(query)  # the naive scan: no bounds
+        return self.right_index.execute(
+            query, strategy=self.strategy, tau_floor=tau_floor
+        )
 
     def _run_petj(self, outer, threshold):
         stats = QueryStats()
@@ -469,13 +448,7 @@ class BlockJoinExecutor:
                     )
                     if floor > 0.0:
                         _tau_raised(left_tid, floor)
-                        result = self.inner.execute(
-                            queries[position],
-                            strategy=self.strategy or "highest_prob_first",
-                            tau_floor=floor,
-                        )
-                    else:
-                        result = self._execute(queries[position])
+                    result = self._execute(queries[position], floor)
                     stats.merge(result.stats)
                     for match in result:
                         pair = JoinPair(
@@ -617,36 +590,32 @@ def _partition_outer(outer: list, chunks: int) -> list[list]:
 
 
 def _run_join_chunk(
+    ctx,
     kind: str,
     chunk: list,
     right: UncertainRelation,
     build_index,
     params: dict,
-    plan,
-    block_size: int,
     pool_size: int | None,
     strategy: str | None,
     pin_reserve: int,
     adaptive_tau: bool | None,
-    kernel: str,
 ):
     """Worker-process entry: one outer chunk, per-worker fresh index/pools.
 
-    Module-level so :class:`ProcessPoolExecutor` can pickle it.  The
-    fault plan, block size, and kernel mode are shipped by value —
-    worker processes do not inherit the parent's env/overrides under
-    ``spawn``.
+    Module-level so :class:`ProcessPoolExecutor` can pickle it.  Every
+    ambient setting arrives by value in ``ctx`` (an
+    :class:`~repro.exec.context.ExecContext`) — worker processes do not
+    inherit the parent's env/overrides under ``spawn`` — so the index
+    build and every probe run inside ``ctx.scope()``; the block size is
+    the context's ``join_block``.
     """
-    from repro.core.kernels import kernel_override
-    from repro.storage.faults import fault_plan
-
-    with fault_plan(plan), kernel_override(kernel):
+    with ctx.scope():
         index = build_index(right) if build_index is not None else None
         executor = BlockJoinExecutor(
             right,
             index,
             strategy=strategy,
-            block_size=block_size,
             pool_size=pool_size,
             pin_reserve=pin_reserve,
             adaptive_tau=adaptive_tau,
@@ -684,10 +653,10 @@ def parallel_join(
     block size; only wall-clock changes.  ``jobs`` defaults to
     ``REPRO_JOBS`` / the CPU count, and workers emit no trace records.
     """
-    # Imported lazily: repro.bench imports repro.exec at package init.
+    # Imported lazily: repro.bench imports repro.exec at package init,
+    # and the context module imports this one for its knob.
     from repro.bench.parallel import resolve_jobs
-    from repro.core.kernels import kernel_mode
-    from repro.storage.faults import active_plan
+    from repro.exec.context import ExecContext
 
     if kind not in JOIN_KINDS:
         raise QueryError(f"unknown join kind {kind!r}")
@@ -721,8 +690,7 @@ def parallel_join(
         )
         pairs, stats, probes = executor.run_outer(kind, outer, **params)
     else:
-        plan = active_plan()
-        kernel = kernel_mode()
+        ctx = ExecContext.capture(join_block=block)
         chunks = _partition_outer(outer, jobs)
         merged: list[JoinPair] = []
         stats = QueryStats()
@@ -731,18 +699,16 @@ def parallel_join(
             futures = [
                 executor_pool.submit(
                     _run_join_chunk,
+                    ctx,
                     kind,
                     chunk,
                     right,
                     build_index,
                     params,
-                    plan,
-                    block,
                     pool_size,
                     strategy,
                     pin_reserve,
                     adaptive_tau,
-                    kernel,
                 )
                 for chunk in chunks
             ]

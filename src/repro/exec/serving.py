@@ -57,6 +57,7 @@ from repro.core.queries import Query
 from repro.core.results import QueryResult
 from repro.exec.batch import BatchExecutor
 from repro.storage.buffer import DEFAULT_POOL_SIZE, BufferPool
+from repro.storage.stats import MeasureScope
 
 #: The two execution protocols.
 MODES = ("measure", "serve")
@@ -167,28 +168,13 @@ class _AttributingBatch(BatchExecutor):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.attributed: dict[int, tuple[int, dict[str, int], int, int]] = {}
+        #: Each batch position's closed accounting window.
+        self.attributed: dict[int, MeasureScope] = {}
 
     def _execute_one(self, position: int, query: Query) -> QueryResult:
-        disk = self.index.disk
-        pool = self.index.pool
-        before = disk.stats.snapshot()
-        tags_before = disk.snapshot_tags()
-        hits_before, misses_before = pool.hits, pool.misses
-        result = self._execute(query)
-        delta = disk.stats.delta_since(before)
-        tags_after = disk.snapshot_tags()
-        breakdown = {
-            tag: tags_after[tag] - tags_before.get(tag, 0)
-            for tag in tags_after
-            if tags_after[tag] != tags_before.get(tag, 0)
-        }
-        self.attributed[position] = (
-            delta.reads,
-            breakdown,
-            pool.hits - hits_before,
-            pool.misses - misses_before,
-        )
+        with MeasureScope(self.index.disk, pool=self.index.pool) as scope:
+            result = self._execute(query)
+        self.attributed[position] = scope
         return result
 
 
@@ -330,27 +316,16 @@ class ServingExecutor:
             # harness borrowed the index); re-attach the warm pool.
             if self.index.pool is not self.pool:
                 self.index.pool = self.pool
-        pool = self.index.pool
-        disk = self.index.disk
-        before = disk.stats.snapshot()
-        tags_before = disk.snapshot_tags()
-        hits_before, misses_before = pool.hits, pool.misses
-        with self._decode_scope():
-            result = self._execute(query, tau_floor, sketch, div_ceiling)
-        delta = disk.stats.delta_since(before)
-        tags_after = disk.snapshot_tags()
-        return ServedResult(
-            result=result,
-            reads=delta.reads,
-            reads_by_tag={
-                tag: tags_after[tag] - tags_before.get(tag, 0)
-                for tag in tags_after
-                if tags_after[tag] != tags_before.get(tag, 0)
-            },
-            pool_hits=pool.hits - hits_before,
-            pool_misses=pool.misses - misses_before,
-            mode=self.mode,
-        )
+        with MeasureScope(self.index.disk, pool=self.index.pool) as scope:
+            with self._decode_scope():
+                result = self.index.execute(
+                    query,
+                    strategy=self.strategy,
+                    tau_floor=tau_floor,
+                    sketch=sketch,
+                    div_ceiling=div_ceiling,
+                )
+        return self._served(result, scope)
 
     # -- coalesced batches ---------------------------------------------------
 
@@ -378,21 +353,10 @@ class ServingExecutor:
         )
         with self._decode_scope():
             results = executor.run(queries)
-        served = []
-        for position, result in enumerate(results):
-            reads, tags, hits, misses = executor.attributed[position]
-            served.append(
-                ServedResult(
-                    result=result,
-                    reads=reads,
-                    reads_by_tag=tags,
-                    pool_hits=hits,
-                    pool_misses=misses,
-                    mode=self.mode,
-                    coalesced=len(queries),
-                )
-            )
-        return served
+        return [
+            self._served(result, executor.attributed[position], len(queries))
+            for position, result in enumerate(results)
+        ]
 
     # -- mutations -----------------------------------------------------------
 
@@ -453,30 +417,15 @@ class ServingExecutor:
 
     # -- internals -----------------------------------------------------------
 
-    def _execute(
-        self,
-        query: Query,
-        tau_floor: float = 0.0,
-        sketch: str | None = None,
-        div_ceiling: float | None = None,
-    ) -> QueryResult:
-        from repro.invindex.index import ProbabilisticInvertedIndex
-
-        extra = {}
-        if sketch is not None:
-            extra["sketch"] = sketch
-        if div_ceiling is not None:
-            extra["div_ceiling"] = div_ceiling
-        if isinstance(self.index, ProbabilisticInvertedIndex):
-            return self.index.execute(
-                query,
-                strategy=self.strategy or "highest_prob_first",
-                tau_floor=tau_floor,
-                **extra,
-            )
-        if tau_floor or extra:
-            # Only the real executors understand a floor/ceiling;
-            # unadorned requests keep working against any index-shaped
-            # object (the serving suite exercises minimal stubs).
-            return self.index.execute(query, tau_floor=tau_floor, **extra)
-        return self.index.execute(query)
+    def _served(
+        self, result: QueryResult, scope: MeasureScope, coalesced: int = 1
+    ) -> ServedResult:
+        return ServedResult(
+            result=result,
+            reads=scope.reads,
+            reads_by_tag=scope.reads_by_tag,
+            pool_hits=scope.pool_hits,
+            pool_misses=scope.pool_misses,
+            mode=self.mode,
+            coalesced=coalesced,
+        )

@@ -33,9 +33,8 @@ from repro.core.queries import (
     EqualityThresholdQuery,
     EqualityTopKQuery,
     Query,
-    SimilarityThresholdQuery,
-    SimilarityTopKQuery,
     WindowedEqualityQuery,
+    check_pushed_bounds,
 )
 from repro.core.relation import UncertainRelation
 from repro.core.results import QueryResult
@@ -48,6 +47,10 @@ from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
 from repro.storage.heapfile import HeapFile, Rid
 from repro.storage.serialization import decode_heap_record, encode_heap_record
+
+#: The search strategy :meth:`ProbabilisticInvertedIndex.execute` runs
+#: when the caller names none.
+DEFAULT_STRATEGY = "highest_prob_first"
 
 #: Tuples the active segment absorbs before it is sealed and a fresh
 #: one opens.  Small by design: segments are the write path's staging
@@ -489,15 +492,19 @@ class ProbabilisticInvertedIndex:
     def execute(
         self,
         query: Query,
-        strategy: str = "highest_prob_first",
+        *,
+        strategy: str | None = None,
         tau_floor: float = 0.0,
         sketch: str | None = None,
         div_ceiling: float | None = None,
     ) -> QueryResult:
         """Answer an equality or similarity query descriptor.
 
-        ``strategy`` is a name from
-        :data:`repro.invindex.strategies.STRATEGIES`.  ``tau_floor`` is
+        The keyword surface is the one
+        :meth:`PDRTree.execute <repro.pdrtree.tree.PDRTree.execute>`
+        shares, so callers forward what they were given.  ``strategy``
+        is a name from :data:`repro.invindex.strategies.STRATEGIES`
+        (``None``: :data:`DEFAULT_STRATEGY`).  ``tau_floor`` is
         the rank-join elevation of a top-k query's dynamic threshold
         (see :meth:`SearchStrategy.top_k <repro.invindex.strategies.SearchStrategy.top_k>`);
         it is only meaningful for :class:`EqualityTopKQuery` and must be
@@ -508,38 +515,14 @@ class ProbabilisticInvertedIndex:
         the resolved ``REPRO_SKETCH`` mode, and ``div_ceiling`` lets a
         shard coordinator cap a :class:`SimilarityTopKQuery` at the
         global k-th divergence (the dual of ``tau_floor``).  Both are
-        rejected on non-similarity descriptors.
+        rejected on non-similarity descriptors
+        (:func:`~repro.core.queries.check_pushed_bounds`).
         """
         from repro.invindex.strategies import get_strategy
-        from repro.obs import trace as _trace
         from repro.sketch import resolve_sketch
         from repro.sketch.search import similarity_execute
 
-        similarity = isinstance(
-            query, (SimilarityThresholdQuery, SimilarityTopKQuery)
-        )
-        if sketch is not None and not similarity:
-            raise QueryError(
-                "sketch mode only applies to similarity queries; got "
-                f"{type(query).__name__}"
-            )
-        if div_ceiling is not None:
-            if not isinstance(query, SimilarityTopKQuery):
-                raise QueryError(
-                    "div_ceiling only applies to similarity top-k "
-                    f"queries; got {type(query).__name__}"
-                )
-            if div_ceiling < 0.0:
-                raise QueryError(
-                    f"div_ceiling must be >= 0, got {div_ceiling}"
-                )
-        if tau_floor < 0.0:
-            raise QueryError(f"tau_floor must be >= 0, got {tau_floor}")
-        if tau_floor > 0.0 and not isinstance(query, EqualityTopKQuery):
-            raise QueryError(
-                "tau_floor only applies to top-k queries; got "
-                f"{type(query).__name__}"
-            )
+        similarity = check_pushed_bounds(query, tau_floor, sketch, div_ceiling)
         if similarity:
             mode = resolve_sketch(sketch)
             tracer = _trace.ACTIVE
@@ -557,7 +540,7 @@ class ProbabilisticInvertedIndex:
                     matches=len(result),
                 )
             return result
-        runner = get_strategy(strategy)
+        runner = get_strategy(strategy or DEFAULT_STRATEGY)
         tracer = _trace.ACTIVE
         if tracer is not None:
             tracer.event(

@@ -172,7 +172,7 @@ SCHEMA: dict[str, RecordSpec] = {
     "compaction.end": _spec({"items": int, "pages_freed": int}),
     # -- bench harness ------------------------------------------------------
     # backend names the storage backend under the disk ("simulated",
-    # "mmap", "shm"); I/O counts are backend-independent, so it exists
+    # "mmap"); I/O counts are backend-independent, so it exists
     # to make cross-backend trace comparisons self-describing.
     "measure.begin": _spec(
         {"index": str, "query": str, "pool_size": int}, {"backend": str}

@@ -48,6 +48,7 @@ from repro.core.queries import (
     SimilarityThresholdQuery,
     SimilarityTopKQuery,
     WindowedEqualityQuery,
+    check_pushed_bounds,
 )
 from repro.core.relation import UncertainRelation
 from repro.core.results import Match, QueryResult, QueryStats
@@ -597,57 +598,42 @@ class PDRTree:
     def execute(
         self,
         query: Query,
+        *,
+        strategy: str | None = None,
         tau_floor: float = 0.0,
         sketch: str | None = None,
         div_ceiling: float | None = None,
     ) -> QueryResult:
         """Answer any query descriptor of :mod:`repro.core.queries`.
 
+        The keyword surface is the one
+        :meth:`ProbabilisticInvertedIndex.execute
+        <repro.invindex.index.ProbabilisticInvertedIndex.execute>`
+        shares, so callers forward what they were given; the tree has
+        one traversal per query kind, so ``strategy`` must be ``None``.
+
         ``tau_floor`` is an externally supplied lower bound on the
         caller's global k-th score (the rank-join / shard-coordinator
-        elevation, mirroring
-        :meth:`ProbabilisticInvertedIndex.execute
-        <repro.invindex.index.ProbabilisticInvertedIndex.execute>`): the
-        top-k traversal prunes against ``max(local tau_k, tau_floor)``
-        and may omit matches scoring strictly below the floor.  Only
-        meaningful for :class:`EqualityTopKQuery`; must be ``0.0`` for
-        every other descriptor, and at ``0.0`` the traversal is
-        bit-identical to the classic one.
+        elevation): the top-k traversal prunes against
+        ``max(local tau_k, tau_floor)`` and may omit matches scoring
+        strictly below the floor.  Only meaningful for
+        :class:`EqualityTopKQuery`; must be ``0.0`` for every other
+        descriptor, and at ``0.0`` the traversal is bit-identical to
+        the classic one.
 
         ``sketch`` / ``div_ceiling`` are the similarity-query analogs:
         ``sketch`` overrides the resolved ``REPRO_SKETCH`` mode, and
         ``div_ceiling`` caps a :class:`SimilarityTopKQuery` at the shard
         coordinator's global k-th divergence (the dual of ``tau_floor``
         — matches with distance strictly above it may be omitted).  Both
-        are rejected on non-similarity descriptors.
+        are rejected on non-similarity descriptors
+        (:func:`~repro.core.queries.check_pushed_bounds`).
         """
         from repro.sketch import resolve_sketch
 
-        similarity = isinstance(
-            query, (SimilarityThresholdQuery, SimilarityTopKQuery)
-        )
-        if sketch is not None and not similarity:
-            raise QueryError(
-                "sketch mode only applies to similarity queries; got "
-                f"{type(query).__name__}"
-            )
-        if div_ceiling is not None:
-            if not isinstance(query, SimilarityTopKQuery):
-                raise QueryError(
-                    "div_ceiling only applies to similarity top-k "
-                    f"queries; got {type(query).__name__}"
-                )
-            if div_ceiling < 0.0:
-                raise QueryError(
-                    f"div_ceiling must be >= 0, got {div_ceiling}"
-                )
-        if tau_floor < 0.0:
-            raise QueryError(f"tau_floor must be >= 0, got {tau_floor}")
-        if tau_floor > 0.0 and not isinstance(query, EqualityTopKQuery):
-            raise QueryError(
-                "tau_floor only applies to top-k queries; got "
-                f"{type(query).__name__}"
-            )
+        if strategy is not None:
+            raise QueryError("PDR-tree takes no search strategy")
+        similarity = check_pushed_bounds(query, tau_floor, sketch, div_ceiling)
         mode = resolve_sketch(sketch) if similarity else "off"
         tracer = _trace.ACTIVE
         if tracer is not None:

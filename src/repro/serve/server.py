@@ -55,6 +55,11 @@ from repro.serve.protocol import (
     matches_to_wire,
     parse_request,
 )
+from repro.storage.stats import MeasureScope
+
+#: Longest request line accepted, in bytes (asyncio's stream default,
+#: pinned here so the refusal below can name it).
+MAX_LINE_BYTES = 1 << 16
 
 #: Response statuses tallied in :attr:`QueryServer.counters`.
 _STATUSES = ("ok", "shed", "timeout", "error")
@@ -131,7 +136,10 @@ class QueryServer:
         self._wake = asyncio.Event()
         self._running = True
         self._server = await asyncio.start_server(
-            self._handle, self.config.host, self.config.port
+            self._handle,
+            self.config.host,
+            self.config.port,
+            limit=MAX_LINE_BYTES,
         )
         self._batcher = asyncio.create_task(self._batch_loop())
 
@@ -213,7 +221,20 @@ class QueryServer:
         pump = asyncio.create_task(self._pump(out, writer))
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # Over the stream limit.  The rest of the line is
+                    # still in flight, so this stream cannot be brought
+                    # back in step: answer, then hang up.
+                    await out.put(
+                        self._immediate_error(
+                            None,
+                            "?",
+                            f"request line exceeds {MAX_LINE_BYTES} bytes",
+                        )
+                    )
+                    break
                 if not line:
                     break
                 await out.put(self._dispatch(line))
@@ -475,21 +496,19 @@ class QueryServer:
         div_ceiling: float | None = None,
     ) -> tuple[list[ServedResult], int]:
         """Worker-thread entry: run one coalesced batch, bill its reads."""
-        disk = self.executor.index.disk
-        before = disk.stats.snapshot()
-        if tau_floor > 0.0 or sketch is not None or div_ceiling is not None:
-            served = [
-                self.executor.execute(
-                    queries[0],
-                    tau_floor=tau_floor,
-                    sketch=sketch,
-                    div_ceiling=div_ceiling,
-                )
-            ]
-        else:
-            served = self.executor.execute_batch(queries)
-        delta = disk.stats.delta_since(before)
-        return served, delta.reads
+        with MeasureScope(self.executor.index.disk) as scope:
+            if tau_floor > 0.0 or sketch is not None or div_ceiling is not None:
+                served = [
+                    self.executor.execute(
+                        queries[0],
+                        tau_floor=tau_floor,
+                        sketch=sketch,
+                        div_ceiling=div_ceiling,
+                    )
+                ]
+            else:
+                served = self.executor.execute_batch(queries)
+        return served, scope.reads
 
     # -- response bookkeeping ------------------------------------------------
 

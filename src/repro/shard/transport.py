@@ -4,15 +4,16 @@ Three implementations of one probe surface:
 
 * :class:`LocalTransport` — the shards live in this process; each
   probe runs under the paper's measurement discipline (fresh
-  100-frame pool, disk-stats/tag/METRICS deltas), exactly mirroring
-  :func:`repro.bench.harness.measure_query`.  The ``shards=1``
-  differential suite runs here.
+  100-frame pool, then one :class:`~repro.storage.stats.MeasureScope`),
+  exactly mirroring :func:`repro.bench.harness.measure_query`.  The
+  ``shards=1`` differential suite runs here.
 * :class:`ProcessTransport` — one single-worker process pool per
-  shard.  Slices, fault plans, kernel mode, and backend specs ship
-  *by value* (the worker-shipping discipline of
-  :mod:`repro.bench.parallel` and ``exec/join.py``); each worker
-  builds its shard once and holds it for the transport's lifetime, so
-  probes within a round genuinely overlap.
+  shard.  Slices and the captured
+  :class:`~repro.exec.context.ExecContext` ship *by value* (the
+  worker-shipping discipline of :mod:`repro.bench.parallel` and
+  ``exec/join.py``); each worker builds its shard once and holds it
+  for the transport's lifetime, so probes within a round genuinely
+  overlap.
 * :class:`ServeTransport` — remote shards behind
   :class:`repro.serve.server.QueryServer` instances, reached with one
   pipelined :class:`~repro.serve.client.ServeClient` per shard.  The
@@ -34,21 +35,15 @@ from concurrent.futures import ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 
 from repro.core.exceptions import ReproError
-from repro.core.kernels import kernel_mode, kernel_override
 from repro.core.queries import Query
 from repro.core.results import Match, QueryResult, QueryStats
-from repro.invindex.index import ProbabilisticInvertedIndex
+from repro.exec.context import ExecContext
 from repro.obs.metrics import METRICS
 from repro.pdrtree.tree import PDRTreeConfig
 from repro.shard.index import ShardedIndex, build_shard_index
 from repro.shard.partition import ShardSlice
-from repro.storage.backends import (
-    BackendSpec,
-    active_backend_spec,
-    backend_scope,
-)
 from repro.storage.buffer import DEFAULT_POOL_SIZE, BufferPool
-from repro.storage.faults import FaultPlan, active_plan, fault_plan
+from repro.storage.stats import MeasureScope
 
 
 class ShardError(ReproError):
@@ -83,44 +78,26 @@ def measured_probe(
 ) -> tuple[QueryResult, int, dict[str, int], dict[str, int]]:
     """Execute one probe under the measurement protocol.
 
-    Fresh buffer pool, then disk-stats / per-tag / METRICS deltas
-    scoped around the execution — the same accounting as
-    :func:`repro.bench.harness.measure_query`, so per-shard reads add
-    up against single-node measurements apples-to-apples.
+    Fresh buffer pool, then one
+    :class:`~repro.storage.stats.MeasureScope` around the execution —
+    the same accounting as :func:`repro.bench.harness.measure_query`,
+    so per-shard reads add up against single-node measurements
+    apples-to-apples.  Returns ``(result, reads, reads_by_tag,
+    metrics_delta)``.
 
     ``sketch``/``div_ceiling`` carry the coordinator's similarity
-    round state (shipped by value, never via environment re-reads);
-    both indexes reject them on non-similarity descriptors, so they
-    are only forwarded when set.
+    round state (shipped by value, never via environment re-reads).
     """
-    pool = BufferPool(index.disk, pool_size)
-    index.pool = pool
-    extra = {}
-    if sketch is not None:
-        extra["sketch"] = sketch
-    if div_ceiling is not None:
-        extra["div_ceiling"] = div_ceiling
-    metrics_before = METRICS.snapshot()
-    before = index.disk.stats.snapshot()
-    tags_before = index.disk.snapshot_tags()
-    if isinstance(index, ProbabilisticInvertedIndex):
+    index.pool = BufferPool(index.disk, pool_size)
+    with MeasureScope(index.disk, metrics=METRICS) as scope:
         result = index.execute(
             query,
-            strategy=strategy or "highest_prob_first",
+            strategy=strategy,
             tau_floor=tau_floor,
-            **extra,
+            sketch=sketch,
+            div_ceiling=div_ceiling,
         )
-    else:
-        result = index.execute(query, tau_floor=tau_floor, **extra)
-    delta = index.disk.stats.delta_since(before)
-    metrics_delta = METRICS.delta_since(metrics_before)
-    tags_after = index.disk.snapshot_tags()
-    breakdown = {
-        tag: tags_after[tag] - tags_before.get(tag, 0)
-        for tag in tags_after
-        if tags_after[tag] != tags_before.get(tag, 0)
-    }
-    return result, delta.reads, breakdown, metrics_delta
+    return result, scope.reads, scope.reads_by_tag, scope.metrics
 
 
 class LocalTransport:
@@ -201,27 +178,25 @@ class LocalTransport:
 # One ProcessPoolExecutor(max_workers=1) per shard: the worker builds
 # its shard's index once (from the shipped slice) and keeps it in a
 # module global, so each probe ships only the query.  Everything the
-# build and probes depend on — slice, fault plan, kernel mode, backend
-# spec — travels by value, never via environment re-reads, mirroring
-# ``repro.bench.parallel._run_one``.
+# build and probes depend on — the slice plus every ambient setting, in
+# one ExecContext — travels by value, never via environment re-reads,
+# mirroring ``repro.bench.parallel._run_one``.
 
 _WORKER_SHARDS: dict[int, tuple] = {}
 
 
 def _worker_build(
+    ctx: ExecContext,
     shard: int,
     slice_: ShardSlice,
     family: str,
     strategy: str | None,
     pdr_config: PDRTreeConfig | None,
-    plan: FaultPlan | None,
-    kernel: str,
-    backend: BackendSpec,
     sketch_params=None,
 ) -> int:
-    with fault_plan(plan), kernel_override(kernel), backend_scope(backend):
+    with ctx.scope():
         index = build_shard_index(slice_, family, pdr_config, sketch_params)
-    _WORKER_SHARDS[shard] = (index, strategy, plan, kernel, backend)
+    _WORKER_SHARDS[shard] = (index, strategy, ctx)
     return shard
 
 
@@ -234,12 +209,12 @@ def _worker_probe(
     div_ceiling: float | None = None,
 ) -> ShardProbe:
     try:
-        index, strategy, plan, kernel, backend = _WORKER_SHARDS[shard]
+        index, strategy, ctx = _WORKER_SHARDS[shard]
     except KeyError:
         raise ShardError(
             f"worker for shard {shard} lost its index (process restarted?)"
         ) from None
-    with fault_plan(plan), kernel_override(kernel), backend_scope(backend):
+    with ctx.scope():
         result, reads, breakdown, metrics = measured_probe(
             index, strategy, query, tau_floor, pool_size, sketch,
             div_ceiling,
@@ -275,20 +250,16 @@ class ProcessTransport:
         self._pools = [
             ProcessPoolExecutor(max_workers=1) for _ in slices
         ]
-        plan = active_plan()
-        kernel = kernel_mode()
-        backend = active_backend_spec()
+        ctx = ExecContext.capture()
         builds = [
             pool.submit(
                 _worker_build,
+                ctx,
                 shard,
                 slice_,
                 family,
                 strategy,
                 pdr_config,
-                plan,
-                kernel,
-                backend,
                 sketch_params,
             )
             for shard, (pool, slice_) in enumerate(zip(self._pools, slices))

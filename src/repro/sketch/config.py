@@ -1,11 +1,11 @@
 """The ``REPRO_SKETCH`` knob: sketch pre-filtering mode resolution.
 
-Mirrors the kernel/batch knobs (:func:`repro.exec.batch.resolve_batch`):
-an explicit argument wins over a process-local override
-(:func:`sketch_override`) wins over the environment, and a malformed
-value raises a :class:`~repro.core.exceptions.ConfigError` naming the
-variable.  The default is ``off`` — the unfiltered scan, which is
-always the I/O baseline.
+One :class:`repro.core.config.Knob`, like the kernel/batch knobs: an
+explicit argument wins over :func:`sketch_override` wins over the
+environment, and a malformed value raises a
+:class:`~repro.core.exceptions.ConfigError` naming the variable.  The
+default is ``off`` — the unfiltered scan, which is always the I/O
+baseline.
 
 Modes
 -----
@@ -24,9 +24,7 @@ Modes
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
-from repro.core.config import parse_choice_knob, read_env_choice
+from repro.core.config import choice_knob
 
 #: Environment variable selecting the default sketch mode.
 SKETCH_ENV = "REPRO_SKETCH"
@@ -34,35 +32,14 @@ SKETCH_ENV = "REPRO_SKETCH"
 #: Valid sketch pre-filtering modes.
 MODES = ("off", "exact", "approx")
 
-#: Process-local override installed by :func:`sketch_override`.
-_OVERRIDE: str | None = None
-
-
-def resolve_sketch(mode: str | None = None) -> str:
-    """The effective sketch mode: explicit arg > override > env > off.
-
-    An unset / empty / ``default`` environment value means ``off`` —
-    the unfiltered scan.  A malformed ``REPRO_SKETCH`` raises a
-    :class:`~repro.core.exceptions.ConfigError` naming the variable.
-    """
-    if mode is not None:
-        return parse_choice_knob(mode, "sketch mode", choices=MODES)
-    if _OVERRIDE is not None:
-        return _OVERRIDE
-    value = read_env_choice(
-        SKETCH_ENV, choices=MODES, special={"default": "off"}
-    )
-    return "off" if value is None else value
-
-
-@contextmanager
-def sketch_override(mode: str):
-    """Scope a sketch mode to a block (tests, benches, workers)."""
-    global _OVERRIDE
-    mode = parse_choice_knob(mode, "sketch mode", choices=MODES)
-    previous = _OVERRIDE
-    _OVERRIDE = mode
-    try:
-        yield
-    finally:
-        _OVERRIDE = previous
+#: The sketch knob: explicit arg > :func:`sketch_override` >
+#: ``REPRO_SKETCH`` > off (see :class:`repro.core.config.Knob`).
+SKETCH = choice_knob(
+    SKETCH_ENV,
+    "sketch mode",
+    choices=MODES,
+    special={"default": "off"},
+    default="off",
+)
+resolve_sketch = SKETCH.resolve
+sketch_override = SKETCH.override

@@ -15,7 +15,6 @@ from repro.storage.backends import (
     BACKEND_PATH_ENV,
     BackendSpec,
     MmapFileBackend,
-    SharedMemoryBackend,
     SimulatedBackend,
     StorageBackend,
     active_backend_spec,
@@ -43,7 +42,7 @@ from repro.storage.faults import (
 from repro.storage.heapfile import HeapFile, Rid
 from repro.storage.page import DEFAULT_PAGE_SIZE, INVALID_PAGE_ID, Page
 from repro.storage.persistence import ScanReport, scan_disk, scan_disk_from_path
-from repro.storage.stats import IOSnapshot, IOStatistics
+from repro.storage.stats import IOSnapshot, IOStatistics, MeasureScope
 
 __all__ = [
     "BACKEND_ENV",
@@ -51,7 +50,6 @@ __all__ = [
     "BACKEND_PATH_ENV",
     "BackendSpec",
     "MmapFileBackend",
-    "SharedMemoryBackend",
     "SimulatedBackend",
     "StorageBackend",
     "active_backend_spec",
@@ -74,6 +72,7 @@ __all__ = [
     "HeapFile",
     "IOSnapshot",
     "IOStatistics",
+    "MeasureScope",
     "Page",
     "Rid",
     "ScanReport",

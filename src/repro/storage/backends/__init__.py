@@ -4,8 +4,8 @@ Which byte store a :class:`~repro.storage.disk.DiskManager` delegates to
 is config-dispatched, mirroring the ``ordered_storage`` /
 ``unordered_storage`` pattern of datasketch's production inverted-index
 deployment (SNIPPETS.md §1): a registry of named backends, an
-environment knob selecting among them, and a process-wide override for
-harnesses that must ship the resolved choice to workers by value.
+environment knob selecting among them, and a process-wide override
+(one :class:`repro.core.config.Knob`, like every other ambient setting).
 
 Backends
 --------
@@ -14,9 +14,6 @@ Backends
 ``mmap``
     Pages in a real file via ``mmap`` — wall-clock numbers mean
     something; survives close/reopen through a meta sidecar.
-``shm``
-    Pages in ``multiprocessing.shared_memory`` segments — one attached
-    index image shared by the serving layer and process-pool shards.
 
 Configuration
 -------------
@@ -39,14 +36,17 @@ from __future__ import annotations
 import itertools
 import os
 import tempfile
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.core.config import ConfigError, parse_choice_knob, read_env_choice
+from repro.core.config import (
+    ConfigError,
+    Knob,
+    parse_choice_knob,
+    read_env_choice,
+)
 from repro.storage.backends.base import StorageBackend
 from repro.storage.backends.mmapfile import MmapFileBackend
-from repro.storage.backends.shared import SharedMemoryBackend
 from repro.storage.backends.simulated import SimulatedBackend
 from repro.storage.page import DEFAULT_PAGE_SIZE
 
@@ -56,7 +56,6 @@ __all__ = [
     "BACKEND_NAMES",
     "BackendSpec",
     "MmapFileBackend",
-    "SharedMemoryBackend",
     "SimulatedBackend",
     "StorageBackend",
     "active_backend_spec",
@@ -71,7 +70,7 @@ BACKEND_ENV = "REPRO_BACKEND"
 BACKEND_PATH_ENV = "REPRO_BACKEND_PATH"
 
 #: Registered backend names, in registry order.
-BACKEND_NAMES = ("simulated", "mmap", "shm")
+BACKEND_NAMES = ("simulated", "mmap")
 
 
 @dataclass(frozen=True)
@@ -113,35 +112,20 @@ def spec_from_env(environ=None) -> BackendSpec:
     return BackendSpec("mmap", directory=raw_path)
 
 
-#: Process-wide spec override (set by the parallel runner so worker
-#: processes inherit the coordinator's resolved choice by value rather
-#: than re-reading the environment).  ``None`` defers to the env knobs.
-_ACTIVE_SPEC: BackendSpec | None = None
+def _as_spec(spec: BackendSpec | str) -> BackendSpec:
+    return BackendSpec(spec) if isinstance(spec, str) else spec
 
 
-def set_active_backend(spec: BackendSpec | str | None) -> None:
-    """Install (or with ``None`` clear) the process-wide spec override."""
-    global _ACTIVE_SPEC
-    _ACTIVE_SPEC = BackendSpec(spec) if isinstance(spec, str) else spec
-
-
-@contextmanager
-def backend_scope(spec: BackendSpec | str | None):
-    """Scoped :func:`set_active_backend` (tests and the parallel runner)."""
-    global _ACTIVE_SPEC
-    previous = _ACTIVE_SPEC
-    set_active_backend(spec)
-    try:
-        yield
-    finally:
-        _ACTIVE_SPEC = previous
-
-
-def active_backend_spec() -> BackendSpec:
-    """The spec new disks pick up: the override, else the env knobs."""
-    if _ACTIVE_SPEC is not None:
-        return _ACTIVE_SPEC
-    return spec_from_env()
+#: The backend knob: ``DiskManager(backend=...)`` > :func:`backend_scope`
+#: / :func:`set_active_backend` > ``REPRO_BACKEND`` (see
+#: :class:`repro.core.config.Knob`).  New disks pick up
+#: :func:`active_backend_spec`; worker processes receive the resolved
+#: spec by value inside an :class:`~repro.exec.context.ExecContext`
+#: rather than re-reading the environment.
+BACKEND = Knob(_as_spec, spec_from_env)
+active_backend_spec = BACKEND.resolve
+set_active_backend = BACKEND.set
+backend_scope = BACKEND.override
 
 
 #: Lazily created scratch directory for mmap page files when no
@@ -174,8 +158,8 @@ def create_backend(
     ``None`` consults :func:`active_backend_spec`; a string is a registry
     name (unknown names raise :class:`ConfigError`); an existing
     :class:`StorageBackend` is returned as-is after a page-size check,
-    so callers can hand a disk a reopened :class:`MmapFileBackend` or an
-    attached :class:`SharedMemoryBackend` directly.
+    so callers can hand a disk a reopened :class:`MmapFileBackend`
+    directly.
     """
     if isinstance(spec, StorageBackend):
         if spec.page_size != page_size:
@@ -184,14 +168,9 @@ def create_backend(
                 f"{page_size}"
             )
         return spec
-    if spec is None:
-        spec = active_backend_spec()
-    elif isinstance(spec, str):
-        spec = BackendSpec(spec)
+    spec = active_backend_spec(spec)
     if spec.name == "simulated":
         return SimulatedBackend(page_size)
-    if spec.name == "mmap":
-        directory = _mmap_directory(spec)
-        filename = f"disk-{os.getpid()}-{next(_FILE_COUNTER)}.pages"
-        return MmapFileBackend(directory / filename, page_size)
-    return SharedMemoryBackend(page_size)
+    directory = _mmap_directory(spec)
+    filename = f"disk-{os.getpid()}-{next(_FILE_COUNTER)}.pages"
+    return MmapFileBackend(directory / filename, page_size)

@@ -18,8 +18,7 @@ in a pluggable :class:`~repro.storage.backends.StorageBackend`
 :mod:`repro.storage.backends` and ``docs/storage-backends.md``).  The
 default ``simulated`` backend is the original in-memory dict, so the
 paper's figures are byte-identical; the ``mmap`` backend persists pages
-in a real file (wall-clock numbers mean something), and the ``shm``
-backend shares one page image across processes.  Counting, tagging,
+in a real file (wall-clock numbers mean something).  Counting, tagging,
 checksums, and fault injection all happen *here*, above the backend, so
 the simulated I/O counts are identical under every backend.
 
@@ -79,7 +78,7 @@ class DiskManager:
     backend:
         The byte store underneath the accounting: a
         :class:`~repro.storage.backends.StorageBackend` instance, a
-        registry name (``"simulated"``, ``"mmap"``, ``"shm"``), or
+        registry name (``"simulated"``, ``"mmap"``), or
         ``None`` to consult the process override / ``REPRO_BACKEND``
         (default ``simulated``).  A durable backend reopened on an
         existing store restores its saved accounting (checksums, tags,
@@ -108,7 +107,7 @@ class DiskManager:
         # Imported lazily: faults.py subclasses DiskManager.
         from repro.storage.faults import FaultInjector, active_plan
 
-        self.faults = FaultInjector(fault_plan if fault_plan is not None else active_plan())
+        self.faults = FaultInjector(active_plan(fault_plan))
         meta = self.backend.load_meta()
         if meta is not None:
             self._next_page_id = int(meta["next_page_id"])

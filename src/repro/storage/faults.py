@@ -18,8 +18,8 @@ answers.  This module supplies the failure modes a real device exhibits:
 Faults are drawn from a :class:`FaultPlan` — per-operation probabilities
 plus a seed — by a per-disk :class:`FaultInjector`, so a given plan
 produces the same fault sequence for a given disk regardless of process
-layout (the parallel benchmark runner ships the resolved plan to its
-workers by value).
+layout (every worker entry point receives the resolved plan by value,
+inside an :class:`~repro.exec.context.ExecContext`).
 
 Injection never perturbs the simulated I/O counts: failed read attempts
 are tracked as ``faults_injected`` / ``checksum_failures`` telemetry,
@@ -41,11 +41,10 @@ Rates default to 0; a plan with all rates zero is disabled.
 
 from __future__ import annotations
 
-import os
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass
 
+from repro.core.config import Knob, read_env_float, read_env_int
 from repro.core.exceptions import QueryError, TransientReadError
 from repro.storage.disk import DiskManager
 from repro.storage.page import DEFAULT_PAGE_SIZE
@@ -56,19 +55,6 @@ FAULT_SEED_ENV = "REPRO_FAULT_SEED"
 FAULT_READ_ERROR_ENV = "REPRO_FAULT_READ_ERROR"
 FAULT_TORN_WRITE_ENV = "REPRO_FAULT_TORN_WRITE"
 FAULT_BIT_ROT_ENV = "REPRO_FAULT_BIT_ROT"
-
-
-def _rate_from_env(name: str) -> float:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return 0.0
-    try:
-        rate = float(raw)
-    except ValueError:
-        raise QueryError(f"{name} must be a float in [0, 1], got {raw!r}") from None
-    if not 0.0 <= rate <= 1.0:
-        raise QueryError(f"{name} must lie in [0, 1], got {rate}")
-    return rate
 
 
 @dataclass(frozen=True)
@@ -97,51 +83,32 @@ class FaultPlan:
 
     @classmethod
     def from_env(cls) -> "FaultPlan":
-        """Build a plan from the ``REPRO_FAULT_*`` environment knobs."""
-        raw_seed = os.environ.get(FAULT_SEED_ENV, "").strip()
-        try:
-            seed = int(raw_seed) if raw_seed else 0
-        except ValueError:
-            raise QueryError(
-                f"{FAULT_SEED_ENV} must be an integer, got {raw_seed!r}"
-            ) from None
+        """Build a plan from the ``REPRO_FAULT_*`` environment knobs.
+
+        A malformed value raises a
+        :class:`~repro.core.exceptions.ConfigError` naming the variable;
+        the upper bound on rates is :meth:`__post_init__`'s.
+        """
         return cls(
-            seed=seed,
-            read_error_rate=_rate_from_env(FAULT_READ_ERROR_ENV),
-            torn_write_rate=_rate_from_env(FAULT_TORN_WRITE_ENV),
-            bit_rot_rate=_rate_from_env(FAULT_BIT_ROT_ENV),
+            seed=read_env_int(FAULT_SEED_ENV) or 0,
+            read_error_rate=read_env_float(FAULT_READ_ERROR_ENV, minimum=0.0)
+            or 0.0,
+            torn_write_rate=read_env_float(FAULT_TORN_WRITE_ENV, minimum=0.0)
+            or 0.0,
+            bit_rot_rate=read_env_float(FAULT_BIT_ROT_ENV, minimum=0.0) or 0.0,
         )
 
 
-#: Process-wide plan override (set by the parallel runner so worker
-#: processes inherit the coordinator's resolved plan by value rather
-#: than re-reading the environment).  ``None`` defers to the env knobs.
-_ACTIVE_PLAN: FaultPlan | None = None
-
-
-def set_active_plan(plan: FaultPlan | None) -> None:
-    """Install (or with ``None`` clear) the process-wide plan override."""
-    global _ACTIVE_PLAN
-    _ACTIVE_PLAN = plan
-
-
-def active_plan() -> FaultPlan:
-    """The plan new disks pick up: the override, else the env knobs."""
-    if _ACTIVE_PLAN is not None:
-        return _ACTIVE_PLAN
-    return FaultPlan.from_env()
-
-
-@contextmanager
-def fault_plan(plan: FaultPlan | None):
-    """Scoped :func:`set_active_plan` (tests and the parallel runner)."""
-    global _ACTIVE_PLAN
-    previous = _ACTIVE_PLAN
-    _ACTIVE_PLAN = plan
-    try:
-        yield
-    finally:
-        _ACTIVE_PLAN = previous
+#: The fault-plan knob: ``DiskManager(fault_plan=...)`` >
+#: :func:`fault_plan` / :func:`set_active_plan` > ``REPRO_FAULT_*`` (see
+#: :class:`repro.core.config.Knob`).  New disks pick up
+#: :func:`active_plan`; worker processes receive the resolved plan by
+#: value inside an :class:`~repro.exec.context.ExecContext` rather than
+#: re-reading the environment.
+FAULT_PLAN = Knob(lambda plan: plan, FaultPlan.from_env)
+active_plan = FAULT_PLAN.resolve
+set_active_plan = FAULT_PLAN.set
+fault_plan = FAULT_PLAN.override
 
 
 class FaultInjector:

@@ -3,8 +3,10 @@
 The paper's evaluation metric is the *number of disk I/O operations per
 query* (Section 4).  :class:`IOStatistics` is a plain counter bundle that the
 :class:`~repro.storage.disk.DiskManager` increments on every physical page
-access; :class:`IOSnapshot` captures a point-in-time copy so a harness can
-compute per-query deltas with :meth:`IOStatistics.delta_since`.
+access; :class:`IOSnapshot` captures a point-in-time copy, and
+:class:`MeasureScope` is the one accounting window built on the pair —
+*the* definition of "the reads of a measured query" for every harness,
+transport and serving path.
 
 Beyond the paper's reads/writes, the bundle carries fault-tolerance
 telemetry: ``checksum_failures`` (reads that failed CRC verification) and
@@ -112,3 +114,52 @@ class IOStatistics:
             f"IOStatistics(reads={self.reads}, writes={self.writes}, "
             f"allocations={self.allocations})"
         )
+
+
+class MeasureScope:
+    """The accounting window around a measured execution.
+
+    ``with MeasureScope(disk) as scope: ...`` snapshots the disk's
+    counters on entry and, on exit, exposes what the block cost:
+    :attr:`stats` (the :class:`IOSnapshot` delta), :attr:`reads` (its
+    ``reads`` — the paper's metric) and :attr:`reads_by_tag` (nonzero
+    per-component deltas).  The caller opts in to the two wall-clock
+    telemetry sources it consumes: ``metrics`` (a
+    :class:`~repro.obs.metrics.MetricsRegistry`) adds the
+    :attr:`metrics` delta, ``pool`` adds that pool's
+    :attr:`pool_hits` / :attr:`pool_misses`.
+
+    The scope only counts; *what* it counts is the caller's protocol.
+    The paper's protocol installs a fresh buffer pool first and opens
+    the window after, so the old pool's flush is setup, not query cost.
+    """
+
+    def __init__(self, disk, *, metrics=None, pool=None) -> None:
+        self._disk = disk
+        self._registry = metrics
+        self._pool = pool
+
+    def __enter__(self) -> "MeasureScope":
+        if self._registry is not None:
+            self._metrics_before = self._registry.snapshot()
+        self._before = self._disk.stats.snapshot()
+        self._tags_before = self._disk.snapshot_tags()
+        if self._pool is not None:
+            self._hits_before = self._pool.hits
+            self._misses_before = self._pool.misses
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.stats = self._disk.stats.delta_since(self._before)
+        self.reads = self.stats.reads
+        if self._registry is not None:
+            self.metrics = self._registry.delta_since(self._metrics_before)
+        before = self._tags_before
+        self.reads_by_tag = {
+            tag: count - before.get(tag, 0)
+            for tag, count in self._disk.snapshot_tags().items()
+            if count != before.get(tag, 0)
+        }
+        if self._pool is not None:
+            self.pool_hits = self._pool.hits - self._hits_before
+            self.pool_misses = self._pool.misses - self._misses_before

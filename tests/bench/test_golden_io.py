@@ -105,8 +105,8 @@ def test_compare_refuses_cross_mode_diff(tmp_path):
 
 
 def test_compare_refuses_cross_backend_diff(tmp_path):
-    """Goldens bind to the simulated backend; a diff against an mmap or
-    shm run must be refused, not quietly blessed, even though the I/O
+    """Goldens bind to the simulated backend; a diff against an mmap
+    run must be refused, not quietly blessed, even though the I/O
     counts happen to agree."""
     compare_io = _load_compare_io()
     assert "backend" in compare_io.PROTOCOL_KEYS

@@ -12,6 +12,7 @@ import pytest
 from repro.bench.parallel import JOBS_ENV, resolve_jobs
 from repro.core import ConfigError, QueryError
 from repro.core.config import (
+    int_knob,
     parse_choice_knob,
     parse_float_knob,
     parse_int_knob,
@@ -20,7 +21,15 @@ from repro.core.config import (
     read_env_int,
 )
 from repro.exec import BATCH_ENV, JOIN_BLOCK_ENV, resolve_batch, resolve_join_block
+from repro.core.kernels import KERNEL_ENV, kernel_mode
 from repro.storage import BACKEND_ENV, BACKEND_PATH_ENV
+from repro.storage.faults import (
+    FAULT_BIT_ROT_ENV,
+    FAULT_READ_ERROR_ENV,
+    FAULT_SEED_ENV,
+    FAULT_TORN_WRITE_ENV,
+    FaultPlan,
+)
 from repro.storage.buffer import DECODED_CACHE_ENV, BufferPool
 from repro.storage.disk import DiskManager
 
@@ -114,7 +123,8 @@ class TestBackendKnobs:
             "simulated"
         )
 
-    @pytest.mark.parametrize("raw", ["disk", "ram", "1", "mmap file"])
+    # "shm" was a registered backend until nothing attached to it.
+    @pytest.mark.parametrize("raw", ["disk", "ram", "1", "mmap file", "shm"])
     def test_bad_backend_names_the_variable(self, raw):
         from repro.storage import spec_from_env
 
@@ -130,11 +140,10 @@ class TestBackendKnobs:
     def test_path_with_non_mmap_backend_is_an_error(self):
         from repro.storage import spec_from_env
 
-        for name in ("simulated", "shm"):
-            with pytest.raises(ConfigError, match=BACKEND_PATH_ENV):
-                spec_from_env(
-                    environ={BACKEND_ENV: name, BACKEND_PATH_ENV: "/tmp/x"}
-                )
+        with pytest.raises(ConfigError, match=BACKEND_PATH_ENV):
+            spec_from_env(
+                environ={BACKEND_ENV: "simulated", BACKEND_PATH_ENV: "/tmp/x"}
+            )
         # ...including when the backend is merely defaulted, not set.
         with pytest.raises(ConfigError, match=BACKEND_PATH_ENV):
             spec_from_env(environ={BACKEND_PATH_ENV: "/tmp/x"})
@@ -179,6 +188,87 @@ class TestBackendKnobs:
         with pytest.raises(ConfigError, match=BACKEND_ENV):
             DiskManager(page_size=64)
         assert read_env_float("K", environ={}) is None
+
+
+class TestKnob:
+    """The one precedence implementation every ambient setting binds to."""
+
+    @pytest.fixture()
+    def knob(self, monkeypatch):
+        monkeypatch.delenv("REPRO_TEST_KNOB", raising=False)
+        return int_knob(
+            "REPRO_TEST_KNOB", "test knob", minimum=1, special={"off": 1},
+            default=4,
+        )
+
+    def test_explicit_beats_override_beats_env_beats_default(
+        self, knob, monkeypatch
+    ):
+        assert knob.resolve() == 4
+        monkeypatch.setenv("REPRO_TEST_KNOB", "8")
+        assert knob.resolve() == 8
+        with knob.override(16):
+            assert knob.resolve() == 16
+            assert knob.resolve(32) == 32
+        assert knob.resolve() == 8
+
+    def test_override_nests_and_restores_on_exception(self, knob):
+        with knob.override(2):
+            with pytest.raises(RuntimeError):
+                with knob.override(3):
+                    assert knob.resolve() == 3
+                    raise RuntimeError("boom")
+            assert knob.resolve() == 2
+        assert knob.resolve() == 4
+
+    def test_set_installs_and_none_clears(self, knob):
+        knob.set(9)
+        assert knob.resolve() == 9
+        knob.set(None)
+        assert knob.resolve() == 4
+
+    def test_programmatic_values_share_the_env_range_check(self, knob):
+        with pytest.raises(ConfigError, match="test knob must be >= 1"):
+            knob.resolve(0)
+        with pytest.raises(ConfigError, match="test knob"):
+            with knob.override("many"):
+                pass
+        assert knob.resolve() == 4  # a refused override installs nothing
+
+
+class TestKernelKnob:
+    @pytest.mark.parametrize("raw", ["simd", "fast", "1"])
+    def test_bad_env_names_variable(self, monkeypatch, raw):
+        monkeypatch.setenv(KERNEL_ENV, raw)
+        with pytest.raises(ConfigError, match=KERNEL_ENV):
+            kernel_mode()
+
+
+class TestFaultKnobs:
+    @pytest.mark.parametrize(
+        "env,raw",
+        [
+            (FAULT_SEED_ENV, "lucky"),
+            (FAULT_SEED_ENV, "1.5"),
+            (FAULT_READ_ERROR_ENV, "often"),
+            (FAULT_TORN_WRITE_ENV, "-0.1"),
+            (FAULT_BIT_ROT_ENV, "nan"),
+        ],
+    )
+    def test_bad_env_names_variable(self, monkeypatch, env, raw):
+        monkeypatch.setenv(env, raw)
+        with pytest.raises(ConfigError, match=env):
+            FaultPlan.from_env()
+
+    def test_upper_bound_is_the_plans_own(self, monkeypatch):
+        monkeypatch.setenv(FAULT_BIT_ROT_ENV, "1.5")
+        with pytest.raises(QueryError, match=r"must lie in \[0, 1\]"):
+            FaultPlan.from_env()
+
+    def test_valid_env_builds_the_plan(self, monkeypatch):
+        monkeypatch.setenv(FAULT_SEED_ENV, " 7 ")
+        monkeypatch.setenv(FAULT_READ_ERROR_ENV, "0.25")
+        assert FaultPlan.from_env() == FaultPlan(seed=7, read_error_rate=0.25)
 
 
 class TestBatchKnob:

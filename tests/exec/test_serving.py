@@ -219,7 +219,10 @@ class _StamplessIndex:
         finally:
             self._memo = None
 
-    def execute(self, query):
+    def execute(
+        self, query, *, strategy=None, tau_floor=0.0, sketch=None,
+        div_ceiling=None,
+    ):
         from repro.core.results import Match, QueryResult
 
         memo = self._memo if self._memo is not None else {}

@@ -118,6 +118,36 @@ def test_malformed_and_unknown_requests_answer_error(index):
     assert bad_op["status"] == "error" and "unknown op" in bad_op["error"]
 
 
+def test_overlong_line_answers_error_and_closes_only_that_connection(
+    index, workload
+):
+    """Regression: a line over the stream limit used to raise
+    ``ValueError`` out of the handler task — the client saw EOF with no
+    reply and asyncio logged "Task exception was never retrieved"."""
+
+    async def scenario():
+        async with QueryServer(index, config=ServeConfig()) as server:
+            async with ServeClient(*server.address) as bystander:
+                await bystander.query(workload[0])
+                reader, writer = await asyncio.open_connection(*server.address)
+                reading = asyncio.ensure_future(reader.read())
+                writer.write(b"x" * 200_000 + b"\n")
+                received = await asyncio.wait_for(reading, timeout=10)
+                writer.close()
+                after = await bystander.query(workload[1])
+                stats = await bystander.stats()
+            return received, after, stats
+
+    received, after, stats = run(scenario())
+    # Exactly one reply, then EOF: the server hung up on this stream.
+    (reply,) = [json.loads(line) for line in received.splitlines()]
+    assert reply["status"] == "error"
+    assert "65536 bytes" in reply["error"]  # names the limit
+    assert after["status"] == "ok"
+    assert stats["inflight"] == 0 and stats["queued"] == 0
+    assert stats["counters"]["error"] == 1 and stats["counters"]["ok"] == 2
+
+
 def test_inflight_cap_sheds(index, workload):
     async def scenario():
         # One in-flight slot and a long coalesce window: everything

@@ -9,11 +9,8 @@ Three batteries:
   property that lets goldens bind to ``simulated`` while the other
   backends stay honest;
 * durability: an ``mmap`` store survives close/reopen with its CRC
-  accounting intact, and a ``shm`` store is readable through an attached
-  handle in another process.
+  accounting intact.
 """
-
-import multiprocessing
 
 import pytest
 
@@ -28,7 +25,6 @@ from repro.storage import (
     DiskManager,
     MmapFileBackend,
     Page,
-    SharedMemoryBackend,
     SimulatedBackend,
     active_backend_spec,
     backend_scope,
@@ -42,8 +38,6 @@ from tests.invindex.conftest import random_relation
 def make_backend(name, tmp_path, page_size=64):
     if name == "mmap":
         return MmapFileBackend(tmp_path / "store.pages", page_size)
-    if name == "shm":
-        return SharedMemoryBackend(page_size, pages_per_segment=4)
     return SimulatedBackend(page_size)
 
 
@@ -140,10 +134,10 @@ class TestDiskIntegration:
         disk.close()
 
     def test_backend_scope_reaches_new_disks(self):
-        with backend_scope("shm"):
-            assert active_backend_spec() == BackendSpec("shm")
+        with backend_scope("mmap"):
+            assert active_backend_spec() == BackendSpec("mmap")
             disk = DiskManager(page_size=64)
-            assert disk.backend.name == "shm"
+            assert disk.backend.name == "mmap"
             disk.close()
         assert DiskManager(page_size=64).backend.name == "simulated"
 
@@ -269,40 +263,3 @@ class TestMmapDurability:
         backend = MmapFileBackend(path, 64)
         assert len(backend) == 0
         backend.close()
-
-
-def _read_attached(state, page_id, queue):
-    backend = SharedMemoryBackend.attach(state)
-    try:
-        queue.put(backend.read(page_id))
-    finally:
-        backend.close()
-
-
-class TestSharedMemory:
-    def test_attach_shares_pages_across_processes(self):
-        backend = SharedMemoryBackend(page_size=64, pages_per_segment=4)
-        disk = DiskManager(page_size=64, backend=backend)
-        pid = disk.allocate_page()
-        page = disk.read_page(pid)
-        page.data[:5] = b"hello"
-        disk.write_page(page)
-        queue = multiprocessing.Queue()
-        worker = multiprocessing.Process(
-            target=_read_attached, args=(backend.attach_state(), pid, queue)
-        )
-        worker.start()
-        data = queue.get(timeout=30)
-        worker.join(timeout=30)
-        assert data[:5] == b"hello"
-        assert worker.exitcode == 0
-        disk.close()
-
-    def test_attached_handle_never_unlinks(self):
-        owner = SharedMemoryBackend(page_size=64, pages_per_segment=4)
-        owner.allocate(0, b"x" * 64)
-        attached = SharedMemoryBackend.attach(owner.attach_state())
-        assert attached.read(0) == b"x" * 64
-        attached.close()  # detach only
-        assert owner.read(0) == b"x" * 64  # segments still alive
-        owner.close()
