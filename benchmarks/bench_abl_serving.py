@@ -4,27 +4,26 @@
 Usage::
 
     python benchmarks/bench_abl_serving.py [results_dir]
-        [--scale quick|default|paper] [--queries N] [--coalesce N]
+        [--scale quick|default|paper] [--queries N]
         [--assert-speedup S] [--assert-io-savings F] [--trace PATH]
 
 Runs a Figure 5-style synthetic workload (uniform + pairwise datasets,
 PETQ and top-k kinds over the scale's selectivities, >= ``--queries``
-queries total) through the inverted index three ways:
+queries total) through the inverted index two ways:
 
 * **cold** — ``mode="measure"``: the paper's protocol, a fresh
   100-frame buffer pool per query.  This is the baseline and the leg
   whose per-point reads are written compare_io.py-compatibly;
 * **warm** — ``mode="serve"``: one long-lived shared pool per dataset
   (:class:`repro.exec.ServingExecutor`), requests executed one at a
-  time as a server would between coalescing windows;
-* **coalesced** — ``mode="serve"`` plus request coalescing: the same
-  warm pool, requests grouped ``--coalesce`` at a time through the
-  batch executor (what the server does under concurrent load).
+  time — which is also how the server runs a coalesced group
+  (``execute_batch`` is a loop over ``execute``; see
+  ``tests/exec/test_serving.py``).
 
 Exactness gates, asserted on *every* query:
 
-* warm and coalesced answers (tids, scores, order) are identical to
-  the cold answers — serving is an execution-protocol change, never a
+* warm answers (tids, scores, order) are identical to the cold
+  answers — serving is an execution-protocol change, never a
   semantics change;
 * warm per-request reads (total and posting pages) never exceed the
   cold reads for the same query — a warm fetch misses only if the same
@@ -111,11 +110,11 @@ def _leg_totals(served_by_point, wall):
 
 
 def _run_workload(args, scale):
-    """Execute all three legs; returns (legs, cold_series, violations)."""
+    """Execute both legs; returns (legs, cold_series, violations)."""
     points = len(DATASETS) * len(KINDS) * len(scale.selectivities)
     qpp = -(-args.queries // points)  # ceil division
-    cold_points, warm_points, coalesced_points = [], [], []
-    cold_wall = warm_wall = coalesced_wall = 0.0
+    cold_points, warm_points = [], []
+    cold_wall = warm_wall = 0.0
     cold_series = {}
     violations = []
     for dataset in DATASETS:
@@ -131,9 +130,6 @@ def _run_workload(args, scale):
         # One warm pool per dataset, shared across every point below —
         # exactly a server's lifetime over this index.
         warm_exec = ServingExecutor(index, strategy=STRATEGY, mode="serve")
-        coalesced_exec = ServingExecutor(
-            index, strategy=STRATEGY, mode="serve"
-        )
         for kind in KINDS:
             series_name = f"{dataset}-{kind}"
             cold_series[series_name] = []
@@ -153,27 +149,10 @@ def _run_workload(args, scale):
                 warm_wall += time.perf_counter() - started
                 warm_points.append(warm)
 
-                started = time.perf_counter()
-                coalesced = []
-                for base in range(0, len(queries), args.coalesce):
-                    coalesced.extend(
-                        coalesced_exec.execute_batch(
-                            queries[base:base + args.coalesce]
-                        )
-                    )
-                coalesced_wall += time.perf_counter() - started
-                coalesced_points.append(coalesced)
-
-                for position, (c, w, g) in enumerate(
-                    zip(cold, warm, coalesced)
-                ):
+                for position, (c, w) in enumerate(zip(cold, warm)):
                     where = f"{series_name} @ {selectivity} query {position}"
                     if _answer_key(w) != _answer_key(c):
                         violations.append(f"warm answers diverge: {where}")
-                    if _answer_key(g) != _answer_key(c):
-                        violations.append(
-                            f"coalesced answers diverge: {where}"
-                        )
                     if w.reads > c.reads:
                         violations.append(
                             f"warm reads {w.reads} > cold {c.reads}: {where}"
@@ -186,11 +165,9 @@ def _run_workload(args, scale):
                             f"{cold_postings}: {where}"
                         )
         warm_exec.check_quiesced()
-        coalesced_exec.check_quiesced()
     legs = {
         "cold": _leg_totals(cold_points, cold_wall),
         "warm": _leg_totals(warm_points, warm_wall),
-        "coalesced": _leg_totals(coalesced_points, coalesced_wall),
     }
     return legs, cold_series, violations
 
@@ -211,12 +188,6 @@ def main(argv=None):
         type=int,
         default=200,
         help="minimum total workload size (default: 200)",
-    )
-    parser.add_argument(
-        "--coalesce",
-        type=int,
-        default=16,
-        help="coalesced-leg batch size (default: 16)",
     )
     parser.add_argument(
         "--assert-speedup",
@@ -246,8 +217,7 @@ def main(argv=None):
     qpp = -(-args.queries // points)
     print(
         f"scale={args.scale} kernel={kernel_mode()} "
-        f"queries={points * qpp} ({points} points x {qpp}) "
-        f"coalesce={args.coalesce}"
+        f"queries={points * qpp} ({points} points x {qpp})"
     )
 
     if args.trace is not None:
@@ -257,24 +227,20 @@ def main(argv=None):
     else:
         legs, cold_series, violations = _run_workload(args, scale)
 
-    cold = legs["cold"]
-    for name in ("warm", "coalesced"):
-        leg = legs[name]
-        leg["speedup"] = (
-            round(cold["wall_clock_seconds"] / leg["wall_clock_seconds"], 3)
-            if leg["wall_clock_seconds"] > 0
-            else None
-        )
-        leg["read_savings"] = (
-            round(1.0 - leg["reads"] / cold["reads"], 4)
-            if cold["reads"]
-            else 0.0
-        )
-        leg["posting_read_savings"] = (
-            round(1.0 - leg["posting_reads"] / cold["posting_reads"], 4)
-            if cold["posting_reads"]
-            else 0.0
-        )
+    cold, warm = legs["cold"], legs["warm"]
+    warm["speedup"] = (
+        round(cold["wall_clock_seconds"] / warm["wall_clock_seconds"], 3)
+        if warm["wall_clock_seconds"] > 0
+        else None
+    )
+    warm["read_savings"] = (
+        round(1.0 - warm["reads"] / cold["reads"], 4) if cold["reads"] else 0.0
+    )
+    warm["posting_read_savings"] = (
+        round(1.0 - warm["posting_reads"] / cold["posting_reads"], 4)
+        if cold["posting_reads"]
+        else 0.0
+    )
     for name, leg in legs.items():
         line = (
             f"{name:9s}: wall={leg['wall_clock_seconds']:.3f}s "
@@ -303,7 +269,6 @@ def main(argv=None):
             "pool_size": scale.pool_size,
             "datasets": list(DATASETS),
             "total_queries": points * qpp,
-            "coalesce": args.coalesce,
         },
         "legs": legs,
         "violations": 0,
@@ -331,7 +296,6 @@ def main(argv=None):
     )
 
     failures = []
-    warm = legs["warm"]
     if args.assert_speedup is not None and (
         warm["speedup"] is None or warm["speedup"] < args.assert_speedup
     ):

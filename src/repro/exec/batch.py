@@ -186,15 +186,6 @@ class BatchExecutor:
         Queries per pool; ``None`` consults :func:`resolve_batch`.
     pin_reserve:
         Frames the prefetch must leave un-pinned.
-    pool:
-        ``None`` (the measurement default) allocates a *fresh* pool per
-        batch — the protocol all committed I/O baselines bind to.  A
-        long-lived :class:`BufferPool` switches the executor to serving
-        mode: every batch runs against this shared warm pool, so pages
-        (and decoded objects) stay hot *across* batches and pool
-        construction disappears from the request path.  See
-        ``docs/serving.md``; per-request I/O is then attributed with
-        stats deltas, not pool construction.
     """
 
     def __init__(
@@ -205,7 +196,6 @@ class BatchExecutor:
         pool_size: int = DEFAULT_POOL_SIZE,
         batch_size: int | None = None,
         pin_reserve: int = DEFAULT_PIN_RESERVE,
-        pool: BufferPool | None = None,
     ) -> None:
         if strategy is not None and not isinstance(
             index, ProbabilisticInvertedIndex
@@ -213,14 +203,11 @@ class BatchExecutor:
             raise QueryError("only the inverted index takes a search strategy")
         if pin_reserve < 0:
             raise QueryError(f"pin_reserve must be >= 0, got {pin_reserve}")
-        if pool is not None and pool.disk is not index.disk:
-            raise QueryError("serving pool must be backed by the index's disk")
         self.index = index
         self.strategy = strategy
         self.pool_size = pool_size
         self.batch_size = resolve_batch(batch_size)
         self.pin_reserve = pin_reserve
-        self.pool = pool
 
     # -- public API ---------------------------------------------------------
 
@@ -301,27 +288,14 @@ class BatchExecutor:
                 )
         return pinned
 
-    def _execute_one(self, position: int, query: Query) -> QueryResult:
-        """Execute one batch member.
-
-        Hook for the serving layer (:mod:`repro.exec.serving`), which
-        overrides it to attribute per-request reads with stats deltas —
-        the shared warm pool makes "reads since the pool was built"
-        meaningless as a per-request number.
-        """
-        return self._execute(query)
-
     def _run_batch(self, queries: list[Query]) -> list[QueryResult]:
-        warm = self.pool is not None
-        pool = self.pool if warm else BufferPool(self.index.disk, self.pool_size)
+        pool = BufferPool(self.index.disk, self.pool_size)
         self.index.pool = pool
         tracer = _trace.ACTIVE
         if tracer is not None:
             fields = {}
             if self.strategy is not None:
                 fields["strategy"] = self.strategy
-            if warm:
-                fields["mode"] = "warm"
             tracer.event(
                 "batch.begin",
                 size=len(queries),
@@ -353,9 +327,7 @@ class BatchExecutor:
                             position=position,
                             query=type(queries[position]).__name__,
                         )
-                    results[position] = self._execute_one(
-                        position, queries[position]
-                    )
+                    results[position] = self._execute(queries[position])
         finally:
             for page_id in pinned:
                 pool.unpin_page(page_id)

@@ -35,13 +35,12 @@ path.  :class:`ServingExecutor` makes the protocol an explicit mode:
     large as the per-query pool and the request's working set fits
     (asserted per query by ``benchmarks/bench_abl_serving.py``).
 
-:meth:`ServingExecutor.execute_batch` is the request-coalescing entry
-point used by :mod:`repro.serve`: a group of requests that arrived
-within one coalescing window executes as a single
-:class:`~repro.exec.batch.BatchExecutor` batch over the warm pool —
-touched-item grouping, shared-head pinning, and batch-scoped tuple-
-decode memoization all apply — while per-request reads are still
-captured individually via the :meth:`BatchExecutor._execute_one` hook.
+:meth:`ServingExecutor.execute` is the one route by which a served
+request reaches the index.  :meth:`ServingExecutor.execute_batch`, the
+entry point :mod:`repro.serve` calls with each coalesced group, is a
+loop over it: the group shares one worker-thread hop, the warm pool
+and the tuple-decode cache, and nothing else, so each request's reads
+are attributed exactly as if it had arrived alone.
 
 See ``docs/serving.md`` for the full model and
 ``docs/io-model.md`` for why goldens bind in measurement mode only.
@@ -49,13 +48,14 @@ See ``docs/serving.md`` for the full model and
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
+from collections.abc import Sequence
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
-from repro.core.exceptions import QueryError
+from repro.core.exceptions import QueryError, ReproError
 from repro.core.queries import Query
 from repro.core.results import QueryResult
-from repro.exec.batch import BatchExecutor
+from repro.invindex.index import ProbabilisticInvertedIndex
 from repro.storage.buffer import DEFAULT_POOL_SIZE, BufferPool
 from repro.storage.stats import MeasureScope
 
@@ -147,35 +147,12 @@ class ServedResult:
     pool_misses: int = 0
     #: The protocol the request ran under ("measure" or "serve").
     mode: str = "serve"
-    #: Size of the coalesced batch this request executed in (1 when the
-    #: request ran alone).
+    #: Size of the coalesced group this request ran in (1 when it ran
+    #: alone, and always in measure mode).
     coalesced: int = 1
 
     def __len__(self) -> int:
         return len(self.result)
-
-
-class _AttributingBatch(BatchExecutor):
-    """A batch executor that records per-request stats deltas.
-
-    Within a coalesced batch, queries still execute one at a time, so a
-    disk-stats/tag delta around each execution is that request's exact
-    physical read bill.  Work the batch performs *between* requests
-    (shared-head prefetch pins) is deliberately attributed to no
-    request — it is batch overhead, reported at the batch level by the
-    server's ``serve.batch`` record.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        #: Each batch position's closed accounting window.
-        self.attributed: dict[int, MeasureScope] = {}
-
-    def _execute_one(self, position: int, query: Query) -> QueryResult:
-        with MeasureScope(self.index.disk, pool=self.index.pool) as scope:
-            result = self._execute(query)
-        self.attributed[position] = scope
-        return result
 
 
 class ServingExecutor:
@@ -196,8 +173,6 @@ class ServingExecutor:
         Frames: per-query pools in measure mode (default 100, the
         paper's allocation), the one long-lived pool in serve mode
         (default :data:`DEFAULT_SERVE_POOL_SIZE`).
-    pin_reserve:
-        Passed through to the coalescing batch executor's prefetch.
     tuple_cache_entries:
         Capacity of the cross-request tuple-decode cache (serve mode;
         default :data:`DEFAULT_TUPLE_CACHE_ENTRIES`).
@@ -210,11 +185,14 @@ class ServingExecutor:
         strategy: str | None = None,
         mode: str = "serve",
         pool_size: int | None = None,
-        pin_reserve: int | None = None,
         tuple_cache_entries: int | None = None,
     ) -> None:
         if mode not in MODES:
             raise QueryError(f"mode must be one of {MODES}, got {mode!r}")
+        if strategy is not None and not isinstance(
+            index, ProbabilisticInvertedIndex
+        ):
+            raise QueryError("only the inverted index takes a search strategy")
         self.index = index
         self.strategy = strategy
         self.mode = mode
@@ -225,7 +203,6 @@ class ServingExecutor:
         if pool_size < 1:
             raise QueryError(f"pool_size must be >= 1, got {pool_size}")
         self.pool_size = pool_size
-        self._pin_reserve = pin_reserve
         #: The long-lived warm pool (serve mode only; None in measure).
         self.pool: BufferPool | None = None
         #: Decoded tuples kept across requests (serve mode, indexes with
@@ -252,13 +229,6 @@ class ServingExecutor:
                     self._mutation_stamp = index.mutations
                 else:
                     self._stampless_scan = True
-        # Validates the strategy/index pairing once, up front.
-        self._batch_kwargs = dict(
-            strategy=strategy, pool_size=pool_size, batch_size=1
-        )
-        if pin_reserve is not None:
-            self._batch_kwargs["pin_reserve"] = pin_reserve
-        BatchExecutor(index, **self._batch_kwargs)
 
     def _decode_scope(self):
         """The tuple-decode cache scope for one request (serve mode).
@@ -288,6 +258,12 @@ class ServingExecutor:
             self._mutation_stamp = stamp
         return self.index.shared_scan(self.tuple_cache)
 
+    def _attach_warm_pool(self) -> None:
+        """Re-install the warm pool if a foreign one replaced it (serve
+        mode; e.g. a measurement harness borrowed the index)."""
+        if self.pool is not None and self.index.pool is not self.pool:
+            self.index.pool = self.pool
+
     # -- single requests -----------------------------------------------------
 
     def execute(
@@ -312,10 +288,7 @@ class ServingExecutor:
             # count reads.  Pool construction is setup, not query cost.
             self.index.pool = BufferPool(self.index.disk, self.pool_size)
         else:
-            # A foreign pool may have been installed (e.g. a measurement
-            # harness borrowed the index); re-attach the warm pool.
-            if self.index.pool is not self.pool:
-                self.index.pool = self.pool
+            self._attach_warm_pool()
         with MeasureScope(self.index.disk, pool=self.index.pool) as scope:
             with self._decode_scope():
                 result = self.index.execute(
@@ -325,38 +298,49 @@ class ServingExecutor:
                     sketch=sketch,
                     div_ceiling=div_ceiling,
                 )
-        return self._served(result, scope)
-
-    # -- coalesced batches ---------------------------------------------------
-
-    def execute_batch(self, queries: list[Query]) -> list[ServedResult]:
-        """Answer a coalesced group of requests as one batch.
-
-        Serve mode runs the whole group as a single
-        :class:`BatchExecutor` batch over the warm pool (touched-item
-        grouping, shared-head pinning, batch-scoped tuple memo);
-        results align with the input order, mirroring the arrival-order
-        demultiplexing contract of :mod:`repro.serve`.  Measure mode
-        degenerates to per-query execution — coalescing is a serving
-        optimization, never a measurement one.
-        """
-        if not queries:
-            return []
-        if self.mode == "measure" or len(queries) == 1:
-            return [self.execute(query) for query in queries]
-        if self.index.pool is not self.pool:
-            self.index.pool = self.pool
-        executor = _AttributingBatch(
-            self.index, pool=self.pool, **{
-                **self._batch_kwargs, "batch_size": len(queries)
-            }
+        return ServedResult(
+            result=result,
+            reads=scope.reads,
+            reads_by_tag=scope.reads_by_tag,
+            pool_hits=scope.pool_hits,
+            pool_misses=scope.pool_misses,
+            mode=self.mode,
         )
-        with self._decode_scope():
-            results = executor.run(queries)
-        return [
-            self._served(result, executor.attributed[position], len(queries))
-            for position, result in enumerate(results)
-        ]
+
+    # -- coalesced groups ----------------------------------------------------
+
+    def execute_batch(
+        self,
+        queries: Sequence[Query],
+        bounds: Sequence[dict] | None = None,
+    ) -> list[ServedResult | ReproError]:
+        """Answer a coalesced group of requests, one :meth:`execute` each.
+
+        ``bounds`` optionally aligns with ``queries``: each entry holds
+        that request's own pushed-down :meth:`execute` keywords
+        (``tau_floor`` / ``sketch`` / ``div_ceiling``), so requests with
+        different bounds share a group and each keeps its own.  Results
+        align with the input order, mirroring the arrival-order
+        demultiplexing contract of :mod:`repro.serve`.  A member the
+        index refuses (or whose read fails) does not take its
+        neighbours down: its slot holds the :class:`ReproError` instead
+        of raising it.  In serve mode each result reports the group
+        size as ``coalesced``; measure mode leaves it 1 — coalescing is
+        a serving notion, never a measurement one.
+        """
+        if bounds is None:
+            bounds = [{}] * len(queries)
+        served: list[ServedResult | ReproError] = []
+        for query, pushed in zip(queries, bounds, strict=True):
+            try:
+                result = self.execute(query, **pushed)
+            except ReproError as exc:
+                served.append(exc)
+                continue
+            if self.mode == "serve":
+                result.coalesced = len(queries)
+            served.append(result)
+        return served
 
     # -- mutations -----------------------------------------------------------
 
@@ -372,8 +356,7 @@ class ServingExecutor:
         (one at a time, never interleaved with a batch), which is what
         makes a mutation atomic from every reader's point of view.
         """
-        if self.mode == "serve" and self.index.pool is not self.pool:
-            self.index.pool = self.pool
+        self._attach_warm_pool()
         if op == "insert":
             if tid is None or uda is None:
                 raise QueryError("insert needs tid and uda")
@@ -414,18 +397,3 @@ class ServingExecutor:
             pinned = self.pool.pinned_page_ids()
             assert pinned == [], f"pages still pinned at quiesce: {pinned}"
             self.pool.check_invariants()
-
-    # -- internals -----------------------------------------------------------
-
-    def _served(
-        self, result: QueryResult, scope: MeasureScope, coalesced: int = 1
-    ) -> ServedResult:
-        return ServedResult(
-            result=result,
-            reads=scope.reads,
-            reads_by_tag=scope.reads_by_tag,
-            pool_hits=scope.pool_hits,
-            pool_misses=scope.pool_misses,
-            mode=self.mode,
-            coalesced=coalesced,
-        )

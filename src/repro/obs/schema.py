@@ -99,11 +99,7 @@ SCHEMA: dict[str, RecordSpec] = {
     # with its dynamic threshold elevated to the global k-th pair score.
     "join.tau_raised": _spec({"left_tid": int, "tau": float}),
     # -- batch executor -----------------------------------------------------
-    # mode is present ("warm") when the batch ran against a long-lived
-    # serving pool instead of a fresh per-batch pool (docs/serving.md).
-    "batch.begin": _spec(
-        {"size": int, "structure": str}, {"strategy": str, "mode": str}
-    ),
+    "batch.begin": _spec({"size": int, "structure": str}, {"strategy": str}),
     "batch.query": _spec({"position": int, "query": str}),
     "batch.shared_page": _spec({"page_id": int, "queries": int}),
     "batch.end": _spec({"size": int, "shared_pages": int}),
@@ -118,8 +114,7 @@ SCHEMA: dict[str, RecordSpec] = {
         {"reads": int, "coalesced": int, "reason": str, "matches": int},
     ),
     # One per executed coalesced batch: how many requests it grouped
-    # and the batch's total physical reads (including shared-prefetch
-    # overhead attributed to no single request).
+    # and the batch's total physical reads (the sum of its members').
     "serve.batch": _spec({"size": int, "reads": int}),
     # Admission control turned a request away: reason "inflight" (the
     # in-flight cap) or "queue" (the bounded wait queue overflowed).

@@ -199,8 +199,9 @@ class PDRTree:
     @pool.setter
     def pool(self, pool: BufferPool) -> None:
         if pool is self._pool:
-            # Serving mode re-installs its warm pool before every batch;
-            # a no-op reassign must not flush (and so perturb) the pool.
+            # A serving executor may re-install the pool it already
+            # attached; a no-op reassign must not flush (and so perturb)
+            # the pool.
             return
         if pool.disk is not self.disk:
             raise QueryError("buffer pool must be backed by the tree's disk")

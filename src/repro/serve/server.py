@@ -19,13 +19,15 @@ preempted — the deadline bounds *queueing*, the dominant delay under
 load.
 
 **Coalescing.**  A single batcher task drains the queue: after the
-first arrival it waits ``coalesce_ms`` for company, then executes up
-to ``coalesce_max`` requests as *one*
-:meth:`~repro.exec.serving.ServingExecutor.execute_batch` call —
-touched-item grouping, shared-head pinning, and batch tuple-decode
-memoization all amortize across the group.  Results demultiplex back
-to their requests in arrival order (per-request futures; each
-connection writes responses in the order its requests arrived).
+first arrival it waits ``coalesce_ms`` for company, then hands up to
+``coalesce_max`` requests to the worker thread as *one*
+:meth:`~repro.exec.serving.ServingExecutor.execute_batch` call.  The
+group shares that one thread hop, the warm pool and the tuple-decode
+cache, and nothing else: each member runs as its own
+:meth:`~repro.exec.serving.ServingExecutor.execute` with its own
+pushed-down bounds.  Results demultiplex back to their requests in
+arrival order (per-request futures; each connection writes responses
+in the order its requests arrived).
 
 Execution runs on one dedicated worker thread
 (``ThreadPoolExecutor(max_workers=1)``), so the event loop stays
@@ -55,7 +57,6 @@ from repro.serve.protocol import (
     matches_to_wire,
     parse_request,
 )
-from repro.storage.stats import MeasureScope
 
 #: Longest request line accepted, in bytes (asyncio's stream default,
 #: pinned here so the refusal below can name it).
@@ -212,8 +213,16 @@ class QueryServer:
         # Responses must leave in arrival order even though batches
         # resolve out of order across connections: every request gets a
         # future at dispatch time, and this connection's pump awaits
-        # them strictly FIFO.
-        out: asyncio.Queue = asyncio.Queue()
+        # them strictly FIFO.  The queue is bounded so a client that
+        # pipelines without reading cannot grow it: control ops, sheds
+        # and parse errors resolve at once and admission never sees
+        # them, but a full queue suspends this reader and TCP pushes
+        # back on the sender.  The bound is the two admission limits
+        # together, so one connection can still fill the whole
+        # admission window and see the overflow shed promptly.
+        out: asyncio.Queue = asyncio.Queue(
+            maxsize=self.config.max_inflight + self.config.queue_limit
+        )
         task = asyncio.current_task()
         if task is not None:
             self._handlers.add(task)
@@ -253,18 +262,23 @@ class QueryServer:
                 self._handlers.discard(task)
 
     async def _pump(self, out: asyncio.Queue, writer: asyncio.StreamWriter) -> None:
+        connected = True
         while True:
             future = await out.get()
             if future is None:
                 return
             payload = await future
+            if not connected:
+                continue
             try:
                 writer.write(encode_line(payload))
                 await writer.drain()
             except (ConnectionError, OSError):
-                # Client went away; keep awaiting futures so admitted
-                # requests still drain through _finish bookkeeping.
-                continue
+                # Client went away: stop writing, but keep awaiting
+                # futures so admitted requests still drain through
+                # _finish bookkeeping and the reader is never left
+                # blocked on a full queue.
+                connected = False
 
     # -- dispatch and admission ----------------------------------------------
 
@@ -385,19 +399,11 @@ class QueryServer:
             # Mutations never share a batch: one executes alone on the
             # worker thread, so every query batch observes the index
             # either wholly before or wholly after it (readers can
-            # never see a torn write).  Requests carrying a tau_floor,
-            # sketch mode, or div_ceiling (shard-coordinator rounds)
-            # execute solo too: these are per-request execution state
-            # the coalesced batch path does not thread.
+            # never see a torn write).
             batch: list[_Pending] = []
             while self._queue and len(batch) < self.config.coalesce_max:
                 head = self._queue[0]
-                if (
-                    head.request.mutation is not None
-                    or head.request.tau_floor > 0.0
-                    or head.request.sketch is not None
-                    or head.request.div_ceiling is not None
-                ):
+                if head.request.mutation is not None:
                     if not batch:
                         batch.append(self._queue.popleft())
                     break
@@ -420,35 +426,35 @@ class QueryServer:
             if live[0].request.mutation is not None:
                 await self._run_mutation(loop, live[0])
                 continue
-            queries = [pending.request.query for pending in live]
-            # The solo-break above guarantees a floored/sketched request
-            # is the only member of its batch.
-            head_request = live[0].request
             try:
-                served, batch_reads = await loop.run_in_executor(
+                served = await loop.run_in_executor(
                     self._worker,
                     self._execute_sync,
-                    queries,
-                    head_request.tau_floor,
-                    head_request.sketch,
-                    head_request.div_ceiling,
+                    [pending.request for pending in live],
                 )
             except Exception as exc:  # noqa: BLE001 -- answered, not raised
                 for pending in live:
-                    self._finish(
-                        pending,
-                        {"id": pending.request.id, "status": "error",
-                         "error": str(exc)},
-                        status="error",
-                    )
+                    self._fail(pending, exc)
                 continue
             tracer = active_tracer()
             if tracer is not None:
-                tracer.event("serve.batch", size=len(live), reads=batch_reads)
+                tracer.event(
+                    "serve.batch",
+                    size=len(live),
+                    reads=sum(
+                        result.reads
+                        for result in served
+                        if isinstance(result, ServedResult)
+                    ),
+                )
             METRICS.inc("serve.batch")
             self.counters["batches"] += 1
             self.counters["coalesced"] += len(live)
             for pending, result in zip(live, served):
+                if isinstance(result, ReproError):
+                    # Refused or failed alone; its neighbours ran.
+                    self._fail(pending, result)
+                    continue
                 self._finish(
                     pending,
                     self._ok_payload(pending.request.id, result),
@@ -466,12 +472,7 @@ class QueryServer:
                 self._worker, self._apply_mutation_sync, mutation
             )
         except Exception as exc:  # noqa: BLE001 -- answered, not raised
-            self._finish(
-                pending,
-                {"id": pending.request.id, "status": "error",
-                 "error": str(exc)},
-                status="error",
-            )
+            self._fail(pending, exc)
             return
         METRICS.inc("serve.mutation")
         self.counters["mutations"] += 1
@@ -489,26 +490,21 @@ class QueryServer:
         )
 
     def _execute_sync(
-        self,
-        queries: list,
-        tau_floor: float = 0.0,
-        sketch: str | None = None,
-        div_ceiling: float | None = None,
-    ) -> tuple[list[ServedResult], int]:
-        """Worker-thread entry: run one coalesced batch, bill its reads."""
-        with MeasureScope(self.executor.index.disk) as scope:
-            if tau_floor > 0.0 or sketch is not None or div_ceiling is not None:
-                served = [
-                    self.executor.execute(
-                        queries[0],
-                        tau_floor=tau_floor,
-                        sketch=sketch,
-                        div_ceiling=div_ceiling,
-                    )
-                ]
-            else:
-                served = self.executor.execute_batch(queries)
-        return served, scope.reads
+        self, requests: list[Request]
+    ) -> list[ServedResult | ReproError]:
+        """Worker-thread entry: run one coalesced group, each request
+        under its own pushed-down bounds."""
+        return self.executor.execute_batch(
+            [request.query for request in requests],
+            [
+                {
+                    "tau_floor": request.tau_floor,
+                    "sketch": request.sketch,
+                    "div_ceiling": request.div_ceiling,
+                }
+                for request in requests
+            ],
+        )
 
     # -- response bookkeeping ------------------------------------------------
 
@@ -534,6 +530,14 @@ class QueryServer:
             pending.future.set_result(payload)
         self._inflight -= 1
         self._record(pending.label, status, **trace_fields)
+
+    def _fail(self, pending: _Pending, exc: Exception) -> None:
+        """Answer one admitted request ``"error"``."""
+        self._finish(
+            pending,
+            {"id": pending.request.id, "status": "error", "error": str(exc)},
+            status="error",
+        )
 
     def _record(self, label: str, status: str, **trace_fields: Any) -> None:
         """Tally and trace one written response."""

@@ -119,34 +119,6 @@ class LocalTransport:
     def num_shards(self) -> int:
         return self.index.num_shards
 
-    def probe(
-        self,
-        shard: int,
-        query: Query,
-        tau_floor: float = 0.0,
-        deadline_ms: float | None = None,
-        sketch: str | None = None,
-        div_ceiling: float | None = None,
-    ) -> ShardProbe:
-        # In-process shards never straggle; the deadline is a no-op.
-        handle = self.index.shards[shard]
-        result, reads, breakdown, _ = measured_probe(
-            handle.index,
-            self.index.strategy,
-            query,
-            tau_floor,
-            self.pool_size,
-            sketch,
-            div_ceiling,
-        )
-        return ShardProbe(
-            shard=shard,
-            matches=list(result.matches),
-            reads=reads,
-            reads_by_tag=breakdown,
-            stats=result.stats,
-        )
-
     def probe_many(
         self,
         shard_ids: list[int],
@@ -156,12 +128,28 @@ class LocalTransport:
         sketch: str | None = None,
         div_ceiling: float | None = None,
     ) -> list[ShardProbe]:
-        return [
-            self.probe(
-                shard, query, tau_floor, deadline_ms, sketch, div_ceiling
+        # In-process shards never straggle; the deadline is a no-op.
+        probes = []
+        for shard in shard_ids:
+            result, reads, breakdown, _ = measured_probe(
+                self.index.shards[shard].index,
+                self.index.strategy,
+                query,
+                tau_floor,
+                self.pool_size,
+                sketch,
+                div_ceiling,
             )
-            for shard in shard_ids
-        ]
+            probes.append(
+                ShardProbe(
+                    shard=shard,
+                    matches=list(result.matches),
+                    reads=reads,
+                    reads_by_tag=breakdown,
+                    stats=result.stats,
+                )
+            )
+        return probes
 
     def close(self) -> None:
         pass
@@ -287,19 +275,6 @@ class ProcessTransport:
     @property
     def num_shards(self) -> int:
         return len(self._pools)
-
-    def probe(
-        self,
-        shard: int,
-        query: Query,
-        tau_floor: float = 0.0,
-        deadline_ms: float | None = None,
-        sketch: str | None = None,
-        div_ceiling: float | None = None,
-    ) -> ShardProbe:
-        return self.probe_many(
-            [shard], query, tau_floor, deadline_ms, sketch, div_ceiling
-        )[0]
 
     def probe_many(
         self,
@@ -507,21 +482,6 @@ class ServeTransport:
                     )
                     for shard in shard_ids
                 )
-            )
-        )
-
-    def probe(
-        self,
-        shard: int,
-        query: Query,
-        tau_floor: float = 0.0,
-        deadline_ms: float | None = None,
-        sketch: str | None = None,
-        div_ceiling: float | None = None,
-    ) -> ShardProbe:
-        return self._loop.call(
-            self._probe_async(
-                shard, query, tau_floor, deadline_ms, sketch, div_ceiling
             )
         )
 

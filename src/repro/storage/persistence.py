@@ -22,8 +22,7 @@ Integrity and recovery
 ----------------------
 Each page's CRC32 travels with it — the disk's *stored* checksum, not
 one recomputed at save time, so a page torn in memory stays detectably
-torn in the file.  Version-1 images (magic ``REPRODB1``, no CRCs, no
-tags) still load; their checksums are computed from the page bytes.
+torn in the file.
 
 Two read paths exist:
 
@@ -48,7 +47,6 @@ from repro.core.exceptions import SerializationError
 from repro.storage.disk import DiskManager, page_checksum
 
 MAGIC = b"REPRODB2"
-MAGIC_V1 = b"REPRODB1"
 _U32 = struct.Struct("<I")
 
 
@@ -101,14 +99,10 @@ def _read_exact(handle: BinaryIO, size: int) -> bytes:
     return data
 
 
-def _read_header(handle: BinaryIO) -> tuple[int, int, dict]:
-    """Parse magic + header; returns (version, page_size, envelope)."""
+def _read_header(handle: BinaryIO) -> tuple[int, dict]:
+    """Parse magic + header; returns (page_size, envelope)."""
     magic = handle.read(len(MAGIC))
-    if magic == MAGIC:
-        version = 2
-    elif magic == MAGIC_V1:
-        version = 1
-    else:
+    if magic != MAGIC:
         raise SerializationError(f"not a repro database file (magic {magic!r})")
     (page_size,) = _U32.unpack(_read_exact(handle, 4))
     (metadata_length,) = _U32.unpack(_read_exact(handle, 4))
@@ -116,7 +110,7 @@ def _read_header(handle: BinaryIO) -> tuple[int, int, dict]:
         envelope = json.loads(_read_exact(handle, metadata_length).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SerializationError(f"corrupt metadata envelope: {exc}") from None
-    return version, page_size, envelope
+    return page_size, envelope
 
 
 def _restore(
@@ -144,19 +138,18 @@ def load_disk(handle: BinaryIO) -> tuple[DiskManager, dict]:
     through the counted path, exactly as on the original disk.  Use
     :func:`scan_disk` to detect such pages up front.
     """
-    version, page_size, envelope = _read_header(handle)
+    page_size, envelope = _read_header(handle)
     (num_pages,) = _U32.unpack(_read_exact(handle, 4))
     pages: dict[int, bytes] = {}
     checksums: dict[int, int] = {}
     for _ in range(num_pages):
         (page_id,) = _U32.unpack(_read_exact(handle, 4))
-        if version >= 2:
-            (crc,) = _U32.unpack(_read_exact(handle, 4))
+        (crc,) = _U32.unpack(_read_exact(handle, 4))
         data = handle.read(page_size)
         if len(data) != page_size:
             raise SerializationError("truncated page data")
         pages[page_id] = data
-        checksums[page_id] = crc if version >= 2 else page_checksum(data)
+        checksums[page_id] = crc
     disk = DiskManager(page_size=page_size)
     _restore(disk, envelope, pages, checksums)
     return disk, envelope["structure"]
@@ -177,7 +170,7 @@ def scan_disk(handle: BinaryIO) -> tuple[DiskManager, dict, ScanReport]:
     :class:`~repro.core.exceptions.ChecksumError` — a recovery that
     ignores the report still cannot serve bad bytes.
     """
-    version, page_size, envelope = _read_header(handle)
+    page_size, envelope = _read_header(handle)
     report = ScanReport()
     pages: dict[int, bytes] = {}
     checksums: dict[int, int] = {}
@@ -187,19 +180,15 @@ def scan_disk(handle: BinaryIO) -> tuple[DiskManager, dict, ScanReport]:
         num_pages = 0
     else:
         (num_pages,) = _U32.unpack(raw)
-    record = _U32.size + (_U32.size if version >= 2 else 0) + page_size
+    record = 2 * _U32.size + page_size
     for _ in range(num_pages):
         chunk = handle.read(record)
         if len(chunk) != record:
             report.truncated = True
             break
         (page_id,) = _U32.unpack_from(chunk, 0)
-        if version >= 2:
-            (crc,) = _U32.unpack_from(chunk, 4)
-            data = chunk[8:]
-        else:
-            data = chunk[4:]
-            crc = page_checksum(data)
+        (crc,) = _U32.unpack_from(chunk, 4)
+        data = chunk[8:]
         pages[page_id] = data
         checksums[page_id] = crc
         if page_checksum(data) != crc:

@@ -22,7 +22,7 @@ from repro.core import (
 from repro.exec import BATCH_ENV, BatchExecutor, batch_override, resolve_batch
 from repro.exec.batch import touched_items
 from repro.invindex import ProbabilisticInvertedIndex
-from repro.obs.schema import validate_records
+from repro.obs.schema import SCHEMA, validate_records
 from repro.obs.trace import MemorySink, Tracer, tracing
 from repro.pdrtree import PDRTree
 from repro.storage import BufferPool
@@ -296,6 +296,9 @@ class TestTraceRecords:
         assert all(r["size"] == 4 for r in begins)
         assert all(r["structure"] == "inv-index" for r in begins)
         assert all(r["strategy"] == "highest_prob_first" for r in begins)
+        # Batches always run on fresh per-batch pools: no pool "mode".
+        assert all("mode" not in r for r in begins)
+        assert set(SCHEMA["batch.begin"].optional) == {"strategy"}
 
         per_batch = sink.of_kind("batch.query")
         assert len(per_batch) == 8

@@ -122,6 +122,43 @@ def test_coalesced_batch_matches_per_query(index, relation):
     serve.check_quiesced()
 
 
+def test_batch_is_a_loop_over_execute(relation):
+    """A coalesced group shares the pool and nothing else: every member
+    is billed exactly what a lone ``execute`` on an identically warmed
+    twin is billed, bounds included."""
+    from repro.core import EqualityTopKQuery
+
+    def warmed():
+        built = ProbabilisticInvertedIndex(len(relation.domain))
+        built.build(relation)
+        # A pool smaller than the working set, so warmth matters.
+        executor = ServingExecutor(built, mode="serve", pool_size=8)
+        for query in mixed_workload(len(relation.domain), 5, base_seed=67):
+            executor.execute(query)
+        return executor
+
+    queries = mixed_workload(len(relation.domain), 12, base_seed=71)
+    bounds = [
+        {"tau_floor": 0.01 * position}
+        if isinstance(query, EqualityTopKQuery)
+        else {}
+        for position, query in enumerate(queries)
+    ]
+    assert any(bounds), "workload should exercise a pushed bound"
+    alone = warmed()
+    expected = [alone.execute(q, **b) for q, b in zip(queries, bounds)]
+    served = warmed().execute_batch(queries, bounds)
+    assert answers(served) == answers(expected)
+    assert [s.reads for s in served] == [e.reads for e in expected]
+    assert [s.reads_by_tag for s in served] == [
+        e.reads_by_tag for e in expected
+    ]
+    assert sum(s.reads for s in served) > 0
+    assert [s.coalesced for s in served] == [len(queries)] * len(queries)
+    with pytest.raises(ValueError):
+        alone.execute_batch(queries, bounds[:-1])
+
+
 def test_measure_mode_batch_degenerates_to_per_query(index, relation):
     queries = mixed_workload(len(relation.domain), 6, base_seed=29)
     measure = ServingExecutor(index, mode="measure", pool_size=POOL_SIZE)

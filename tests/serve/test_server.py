@@ -7,6 +7,7 @@ loopback.
 
 import asyncio
 import json
+import socket
 
 import pytest
 
@@ -148,6 +149,85 @@ def test_overlong_line_answers_error_and_closes_only_that_connection(
     assert stats["counters"]["error"] == 1 and stats["counters"]["ok"] == 2
 
 
+def test_unread_pipeline_is_bounded_and_abrupt_close_drains(
+    index, workload, caplog
+):
+    """A client that pipelines without reading cannot grow the server:
+    responses that resolve at once (parse errors here) never pass
+    admission control, so the per-connection queue is what must bound
+    them.  Once the client reads, every line is answered; and a client
+    that vanishes instead leaves no slot, task or futile write behind."""
+    config = ServeConfig(max_inflight=4, queue_limit=4)
+    bound = config.max_inflight + config.queue_limit
+    # Malformed (a JSON string, not an object) and echoed in the error,
+    # so each ~1 KiB line costs the server a ~1 KiB response.
+    line = json.dumps("x" * 1000).encode() + b"\n"
+    flood = 3000
+    # Bytes that may sit in socket buffers (the clamped kernel buffers
+    # plus asyncio's 64 KiB write high-water mark), generously.
+    slack = (1 << 20) // len(line)
+    assert bound + slack < flood // 2
+
+    async def settled(server):
+        """The error tally once the server has stopped making progress."""
+        last = -1
+        while server.counters["error"] != last:
+            last = server.counters["error"]
+            await asyncio.sleep(0.1)
+        return last
+
+    async def slow_reader(server):
+        """Connect with small buffers on both ends of the connection."""
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.setblocking(False)
+        before = set(server._writers)
+        await asyncio.get_running_loop().sock_connect(sock, server.address)
+        reader, writer = await asyncio.open_connection(sock=sock)
+        while not set(server._writers) - before:
+            await asyncio.sleep(0)
+        (peer,) = set(server._writers) - before
+        peer.get_extra_info("socket").setsockopt(
+            socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+        )
+        return reader, writer
+
+    async def scenario():
+        async with QueryServer(index, config=config) as server:
+            reader, writer = await slow_reader(server)
+            writer.write(line * flood)
+            idle = await settled(server)
+            statuses = [
+                decode_line(await reader.readline())["status"]
+                for _ in range(flood)
+            ]
+            answered = server.counters["error"]
+            writer.close()
+
+            # A second client queues real work behind a flood, then
+            # resets the connection without reading any of it.
+            reader, writer = await slow_reader(server)
+            for position, query in enumerate(workload[:4]):
+                writer.write(
+                    encode_line({"id": position, **query_to_wire(query)})
+                )
+            writer.write(line * flood)
+            await settled(server)
+            writer.transport.abort()
+            await asyncio.wait_for(server.drain(), timeout=10)
+            inflight = server._inflight
+        return idle, statuses, answered, inflight, server
+
+    with caplog.at_level("WARNING", logger="asyncio"):
+        idle, statuses, answered, inflight, server = run(scenario())
+    assert idle <= bound + slack, f"{idle} responses queued for an idle client"
+    assert statuses == ["error"] * flood and answered == flood
+    assert inflight == 0
+    assert server.counters["ok"] == 4
+    assert not server._handlers and not server._writers
+    assert "socket.send() raised exception" not in caplog.text
+
+
 def test_inflight_cap_sheds(index, workload):
     async def scenario():
         # One in-flight slot and a long coalesce window: everything
@@ -231,6 +311,16 @@ def test_serve_traces_validate_against_schema(index, workload):
     assert "serve.shed" in kinds
     # Every response wrote exactly one serve.request record.
     assert sink.count("serve.request") == 6
+    # A batch's reads are its members' reads: each serve.batch record is
+    # followed by its own ok serve.request records.
+    assert sum(r["reads"] for r in sink.of_kind("serve.batch")) > 0
+    for at, record in enumerate(records):
+        if record["kind"] == "serve.batch":
+            members = records[at + 1 : at + 1 + record["size"]]
+            assert [m["kind"] for m in members] == ["serve.request"] * len(
+                members
+            )
+            assert record["reads"] == sum(m["reads"] for m in members)
 
 
 def test_measure_mode_over_the_wire(index, workload, expected):

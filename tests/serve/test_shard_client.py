@@ -12,11 +12,11 @@ import asyncio
 
 import pytest
 
-from repro.core import EqualityTopKQuery
+from repro.core import EqualityTopKQuery, SimilarityTopKQuery
 from repro.exec import ServingExecutor
 from repro.invindex import ProbabilisticInvertedIndex
 from repro.serve import QueryServer, ServeClient, ServeConfig
-from repro.serve.protocol import ProtocolError, matches_to_wire
+from repro.serve.protocol import ProtocolError, matches_to_wire, query_to_wire
 
 from tests.invindex.conftest import random_query, random_relation
 
@@ -92,20 +92,96 @@ def test_floored_topk_answers_match_unfloored_below_kth(index, queries):
         assert payload["matches"] == matches_to_wire(expected.result)
 
 
-def test_floored_requests_never_coalesce(index, queries):
-    """Floors are per-request state: a floored request must execute
-    solo even when the window would otherwise batch it."""
+def test_requests_with_different_bounds_coalesce_and_keep_their_own(
+    index, queries
+):
+    """Pushed-down bounds are per-request data, not a reason to run
+    alone: floored top-k, ceilinged similarity top-k and plain requests
+    share one coalesced group and each is answered under its own."""
+    measure = ServingExecutor(index, mode="measure", pool_size=POOL_SIZE)
+    similar = [
+        SimilarityTopKQuery(random_query(12, seed=500 + i), 4 + i)
+        for i in range(3)
+    ]
+    # Distinct bounds, each midway through the request's own unbounded
+    # answer (similarity scores are negated divergences).
+    def midway(query):
+        matches = measure.execute(query).result.matches
+        return abs(matches[0].score + matches[-1].score) / 2
+
+    requests = (
+        [(q, {"tau_floor": midway(q)}) for q in queries]
+        + [(q, {"div_ceiling": midway(q)}) for q in similar]
+        + [(q, {}) for q in queries[:2]]
+    )
+    bounded = [at for at, (_, pushed) in enumerate(requests) if pushed]
+    assert len({tuple(requests[at][1].items()) for at in bounded}) == len(
+        bounded
+    )
+    executed = []
 
     async def scenario():
-        config = ServeConfig(mode="measure", pool_size=POOL_SIZE,
-                             coalesce_ms=25.0, coalesce_max=8)
+        # One connection per request, all inside one long linger.
+        config = ServeConfig(coalesce_ms=200.0, coalesce_max=len(requests))
         async with QueryServer(index, config=config) as server:
-            async with ServeClient(*server.address) as client:
-                payloads = await client.pipeline(
-                    queries, tau_floors=[0.001] * len(queries)
+            execute = server.executor.execute
+
+            def recording(query, **pushed):
+                executed.append((query_to_wire(query), pushed))
+                return execute(query, **pushed)
+
+            server.executor.execute = recording
+            clients = [
+                await ServeClient(*server.address).connect() for _ in requests
+            ]
+            try:
+                return await asyncio.gather(
+                    *(
+                        client.request(query, **pushed)
+                        for client, (query, pushed) in zip(clients, requests)
+                    )
                 )
-            return payloads
+            finally:
+                for client in clients:
+                    await client.close()
 
     payloads = run(scenario())
+    assert [p["status"] for p in payloads] == ["ok"] * len(requests)
+    assert all(payloads[at]["coalesced"] > 1 for at in bounded)
+    for (query, pushed), payload in zip(requests, payloads):
+        own = measure.execute(query, **pushed).result
+        assert payload["matches"] == matches_to_wire(own)
+    # Every request reached the index under its own bounds, no other's.
+    unbounded = {"tau_floor": 0.0, "sketch": None, "div_ceiling": None}
+
+    def canonical(calls):
+        return sorted(
+            (str(wire), sorted(pushed.items(), key=str))
+            for wire, pushed in calls
+        )
+
+    assert canonical(executed) == canonical(
+        (query_to_wire(q), {**unbounded, **pushed}) for q, pushed in requests
+    )
+
+
+def test_refused_request_fails_alone_in_its_group(index, queries):
+    """A member the index refuses at execution time (an explicit sketch
+    mode on an index built without a sketch) is answered ``"error"``;
+    the requests coalesced with it still run."""
+    similar = SimilarityTopKQuery(random_query(12, seed=600), 3)
+
+    async def scenario():
+        config = ServeConfig(coalesce_ms=200.0)
+        async with QueryServer(index, config=config) as server:
+            async with ServeClient(*server.address) as refused:
+                async with ServeClient(*server.address) as client:
+                    return await asyncio.gather(
+                        refused.request(similar, sketch="exact"),
+                        client.pipeline(queries),
+                    )
+
+    error, payloads = run(scenario())
+    assert error["status"] == "error" and "sketch" in error["error"]
     assert [p["status"] for p in payloads] == ["ok"] * len(queries)
-    assert all(p["coalesced"] == 1 for p in payloads)
+    assert {p["coalesced"] for p in payloads} == {len(queries) + 1}

@@ -46,13 +46,13 @@ class SheddingTransport:
                 )
             else:
                 probes.append(
-                    self.inner.probe(
-                        shard,
+                    self.inner.probe_many(
+                        [shard],
                         query,
                         tau_floor,
                         sketch=sketch,
                         div_ceiling=div_ceiling,
-                    )
+                    )[0]
                 )
         return probes
 

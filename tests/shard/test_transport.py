@@ -74,14 +74,14 @@ class FlakyTransport:
                 )
             else:
                 probes.append(
-                    self.inner.probe(
-                        shard,
+                    self.inner.probe_many(
+                        [shard],
                         query,
                         tau_floor,
                         None,
                         sketch=sketch,
                         div_ceiling=div_ceiling,
-                    )
+                    )[0]
                 )
         return probes
 

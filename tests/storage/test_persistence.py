@@ -18,7 +18,6 @@ from repro.pdrtree import PDRTree, PDRTreeConfig
 from repro.storage import BufferPool, DiskManager
 from repro.storage.persistence import (
     MAGIC,
-    MAGIC_V1,
     load_disk,
     load_disk_from_path,
     save_disk,
@@ -88,29 +87,25 @@ class TestDiskRoundTrip:
         assert loaded.checksum_of(pid) == disk.checksum_of(pid)
         assert loaded.verify_page(pid)
 
-    def test_v1_image_still_loads(self):
-        # A pre-checksum image: v1 magic, no CRC column, no tags.
+    def test_v1_image_is_refused(self):
+        # A pre-checksum image (v1 magic, no CRC column, no tags) is no
+        # longer read: nothing writes one, so both read paths refuse it
+        # by its magic like any other foreign file.
         import struct
 
-        disk = DiskManager(page_size=64)
-        pid = disk.allocate_page()
-        page = disk.read_page(pid)
-        page.write_u32(0, 7)
-        disk.write_page(page)
-        raw = io.BytesIO()
         envelope = b'{"next_page_id": 1, "structure": {"old": true}}'
-        raw.write(MAGIC_V1)
-        raw.write(struct.pack("<I", 64))
-        raw.write(struct.pack("<I", len(envelope)))
-        raw.write(envelope)
-        raw.write(struct.pack("<I", 1))
-        raw.write(struct.pack("<I", pid))
-        raw.write(disk.raw_page_bytes(pid))
-        raw.seek(0)
-        loaded, metadata = load_disk(raw)
-        assert metadata == {"old": True}
-        assert loaded.read_page(pid).read_u32(0) == 7
-        assert loaded.tag_of(pid) == "untagged"
+        image = b"".join([
+            b"REPRODB1",
+            struct.pack("<I", 64),
+            struct.pack("<I", len(envelope)),
+            envelope,
+            struct.pack("<I", 1),
+            struct.pack("<I", 0),
+            bytes(64),
+        ])
+        for read in (load_disk, scan_disk):
+            with pytest.raises(SerializationError, match="REPRODB1"):
+                read(io.BytesIO(image))
 
 
 class TestScanDisk:
