@@ -173,21 +173,43 @@ class SeenFilter:
     def admit(self, tids: np.ndarray) -> np.ndarray:
         if len(tids) == 0:
             return tids
-        if len(self._sorted):
-            positions = np.minimum(
-                np.searchsorted(self._sorted, tids), len(self._sorted) - 1
-            )
-            novel_mask = self._sorted[positions] != tids
-            fresh = tids[novel_mask]
+        seen = self._sorted
+        if len(seen):
+            positions = np.minimum(np.searchsorted(seen, tids), len(seen) - 1)
+            fresh = tids[seen[positions] != tids]
         else:
             fresh = tids
         if len(fresh) == 0:
             return fresh
-        unique, first = np.unique(fresh, return_index=True)
-        if len(unique) != len(fresh):
+        # One sort serves both the duplicate check (a neighbour compare)
+        # and the merge; only a run that really repeats a tid pays for
+        # ``np.unique``.
+        ordered = np.sort(fresh)
+        if (ordered[1:] == ordered[:-1]).any():
+            ordered, first = np.unique(fresh, return_index=True)
             fresh = fresh[np.sort(first)]
-        self._sorted = np.union1d(self._sorted, unique)
+        merged = np.concatenate([seen, ordered])
+        merged.sort(kind="stable")  # two sorted runs: one merge pass
+        self._sorted = merged
         return fresh
+
+
+# ---------------------------------------------------------------------------
+# Ragged rows
+# ---------------------------------------------------------------------------
+
+def gather_rows(starts: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions of the ragged rows ``[starts[i], starts[i] + lens[i])``.
+
+    Returns ``(index, offsets)``: ``flat.take(index)`` lays the rows out
+    back to back in the given order, row ``i`` beginning at
+    ``offsets[i]``.  Temporaries are O(total row length).
+    """
+    ends = np.cumsum(lens)
+    offsets = ends - lens
+    total = int(ends[-1]) if len(ends) else 0
+    index = np.arange(total) + np.repeat(starts - offsets, lens)
+    return index, offsets
 
 
 # ---------------------------------------------------------------------------

@@ -74,8 +74,117 @@ class _DenseScorer:
         products = self._table.take(items, mode="clip") * values
         return math.fsum(products.tolist())
 
+    def score_block(
+        self,
+        items: np.ndarray,
+        values: np.ndarray,
+        starts: np.ndarray,
+        lens: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`score` for every ragged row of a block, in one gather.
 
-class QueryVector:
+        Row ``i`` is ``items[starts[i] : starts[i] + lens[i]]`` (same
+        extent of ``values``); rows may be empty and need not be
+        adjacent.  Each score is the correctly rounded sum of that row's
+        own non-zero products (dropping exact zeros cannot change it),
+        so it is bit-identical to :meth:`score`: a row with at most two
+        of them is summed by ``bincount`` — a single IEEE addition *is*
+        correctly rounded — and every other row goes through
+        ``math.fsum``, the rows of equal count as one 2-D batch fed from
+        C.  Temporaries are O(total pairs): nothing is padded to the
+        widest row.
+        """
+        rows = len(lens)
+        index, _ = kernels.gather_rows(starts, lens)
+        products = self._table.take(items.take(index), mode="clip")
+        products *= values.take(index)
+        row_of = np.repeat(np.arange(rows), lens)
+        live = np.flatnonzero(products)
+        if len(live) == 0:
+            return np.zeros(rows)
+        if len(live) != len(products):
+            products, row_of = products[live], row_of[live]
+        counts = np.bincount(row_of, minlength=rows)
+        scores = np.bincount(row_of, weights=products, minlength=rows)
+        if counts.max() > 2:
+            firsts = np.cumsum(counts) - counts
+            for count in np.unique(counts[counts > 2]).tolist():
+                bucket = np.flatnonzero(counts == count)
+                cells = firsts[bucket][:, None] + np.arange(count)
+                cell = iter(products[cells.ravel()].tolist())
+                scores[bucket] = np.fromiter(
+                    map(math.fsum, zip(*[cell] * count)), np.float64, len(bucket)
+                )
+        return scores
+
+
+class _SparseScoring:
+    """Canonical scoring of one sparse vector against stored tuples.
+
+    The implementation :class:`QueryVector` and
+    :class:`UncertainAttribute` share (both expose ``items`` / ``probs``
+    / ``nnz`` and a ``_scorer`` slot).  The vectorized kernel mode
+    scores through a cached :class:`_DenseScorer`, built on first use so
+    only the query side of repeated scoring pays for it; the scalar
+    mode keeps the intersection-based seed path.  The mode is consulted
+    until a scorer exists — one built under the vectorized mode keeps
+    serving if the mode later flips mid-object, which is safe because
+    both paths are bit-identical.
+    """
+
+    __slots__ = ()
+
+    def _dense_scorer(self) -> _DenseScorer | None:
+        scorer = self._scorer
+        if scorer is None and self.nnz and kernels.vectorized():
+            scorer = self._scorer = _DenseScorer(self.items, self.probs)
+        return scorer
+
+    def equality_with_arrays(self, items: np.ndarray, probs: np.ndarray) -> float:
+        """Canonical score against one tuple's raw sparse arrays.
+
+        ``items`` must be strictly ascending with no duplicates (the
+        stored UDA layout guarantees this).  Index executors score
+        decoded page entries through this method so their probabilities
+        are bit-identical to the naive executor's.
+        """
+        scorer = self._scorer  # per-tuple hot path: skip the call once built
+        if scorer is None:
+            scorer = self._dense_scorer()
+            if scorer is None:
+                return sparse_dot_fsum(self.items, self.probs, items, probs)
+        return scorer.score(items, probs)
+
+    def equality_with_block(
+        self,
+        items: np.ndarray,
+        probs: np.ndarray,
+        starts: np.ndarray,
+        lens: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`equality_with_arrays` for a block of ragged rows.
+
+        Tuple ``i`` is the extent ``starts[i]``, ``lens[i]`` of the flat
+        arrays (what :meth:`ProbabilisticInvertedIndex.fetch_uda_block
+        <repro.invindex.index.ProbabilisticInvertedIndex.fetch_uda_block>`
+        returns); the scores come back as one array, each bit-identical
+        to the per-tuple call.
+        """
+        scorer = self._dense_scorer()
+        if scorer is not None:
+            return scorer.score_block(items, probs, starts, lens)
+        return np.array(
+            [
+                sparse_dot_fsum(
+                    self.items, self.probs, items[a : a + n], probs[a : a + n]
+                )
+                for a, n in zip(starts.tolist(), lens.tolist())
+            ],
+            dtype=np.float64,
+        )
+
+
+class QueryVector(_SparseScoring):
     """A sparse non-negative weight vector used as a query.
 
     Structurally a read-only sibling of :class:`UncertainAttribute`
@@ -128,22 +237,6 @@ class QueryVector:
         order = np.lexsort((self.items, -self.probs))
         return [(int(self.items[i]), float(self.probs[i])) for i in order]
 
-    def equality_with_arrays(self, items: np.ndarray, probs: np.ndarray) -> float:
-        """Canonical weighted score against raw sparse arrays.
-
-        The kernel mode is consulted once per instance (the env lookup is
-        too costly for a per-candidate loop); a scorer built under the
-        vectorized mode keeps serving if the mode later flips mid-object,
-        which is safe because both paths are bit-identical.
-        """
-        scorer = self._scorer
-        if scorer is not None:
-            return scorer.score(items, probs)
-        if kernels.vectorized() and self.nnz:
-            self._scorer = _DenseScorer(self.items, self.probs)
-            return self._scorer.score(items, probs)
-        return sparse_dot_fsum(self.items, self.probs, items, probs)
-
     def equality_probability(self, other: "UncertainAttribute") -> float:
         """Canonical weighted score against a UDA."""
         return self.equality_with_arrays(other.items, other.probs)
@@ -152,7 +245,7 @@ class QueryVector:
         return f"QueryVector(nnz={self.nnz}, mass={self.total_mass:.3f})"
 
 
-class UncertainAttribute:
+class UncertainAttribute(_SparseScoring):
     """A sparse probability distribution over a categorical domain.
 
     Instances are immutable.  Prefer the ``from_*`` constructors; the raw
@@ -332,28 +425,6 @@ class UncertainAttribute:
         bit-identical probability.
         """
         return self.equality_with_arrays(other.items, other.probs)
-
-    def equality_with_arrays(self, items: np.ndarray, probs: np.ndarray) -> float:
-        """:meth:`equality_probability` against raw sparse arrays.
-
-        ``items`` must be strictly ascending with no duplicates (the
-        stored UDA layout guarantees this).  Index executors score
-        decoded page entries through this method so their probabilities
-        are bit-identical to the naive executor's.  The vectorized kernel
-        mode scores through a cached :class:`_DenseScorer` (built on
-        first use, so only the query side of repeated scoring pays for
-        it); the scalar mode keeps the intersection-based seed path.  The
-        mode is consulted once per instance — a scorer built under the
-        vectorized mode keeps serving if the mode later flips mid-object,
-        which is safe because both paths are bit-identical.
-        """
-        scorer = self._scorer
-        if scorer is not None:
-            return scorer.score(items, probs)
-        if kernels.vectorized() and self.nnz:
-            self._scorer = _DenseScorer(self.items, self.probs)
-            return self._scorer.score(items, probs)
-        return sparse_dot_fsum(self.items, self.probs, items, probs)
 
     def entropy(self) -> float:
         """Shannon entropy in nats over the stored support."""

@@ -56,6 +56,10 @@ from repro.core.exceptions import QueryError, ReproError
 from repro.core.queries import Query
 from repro.core.results import QueryResult
 from repro.invindex.index import ProbabilisticInvertedIndex
+from repro.invindex.tuple_cache import (
+    DEFAULT_TUPLE_CACHE_ENTRIES,
+    GenerationalTupleCache,
+)
 from repro.storage.buffer import DEFAULT_POOL_SIZE, BufferPool
 from repro.storage.stats import MeasureScope
 
@@ -68,69 +72,6 @@ MODES = ("measure", "serve")
 #: per-request when the pool comfortably contains each request's working
 #: set alongside the hot residue.
 DEFAULT_SERVE_POOL_SIZE = 4096
-
-#: Entry cap on the serving tuple-decode cache.  Verification decodes
-#: the same stored tuples for query after query, so serve mode keeps
-#: the decoded sparse arrays across requests (the tuple-heap analog of
-#: the page-level decoded cache).
-DEFAULT_TUPLE_CACHE_ENTRIES = 1 << 18
-
-
-class GenerationalTupleCache:
-    """A capacity-bounded decode cache with generation-segmented eviction.
-
-    The previous design cleared the whole cache the moment it crossed
-    its entry cap — one request past the boundary, every hot tuple was
-    cold again and the warm hit-rate fell off a cliff.  This cache keeps
-    two generations instead: inserts go to *current*; when current
-    reaches half the capacity it is demoted whole to *previous* (whose
-    old contents — entries untouched for a full generation — are the
-    ones actually dropped), and a hit in previous promotes the entry
-    back into current.  Hot tuples therefore survive every epoch
-    boundary, while total residency stays under ``capacity``.
-
-    Duck-types the ``dict`` surface
-    :meth:`~repro.invindex.index.ProbabilisticInvertedIndex.fetch_uda_arrays`
-    uses on its memo (``get`` / ``__setitem__``), plus ``clear`` for the
-    mutation-stamp invalidation.
-    """
-
-    __slots__ = ("capacity", "_current", "_previous")
-
-    def __init__(self, capacity: int = DEFAULT_TUPLE_CACHE_ENTRIES) -> None:
-        if capacity < 2:
-            raise QueryError(f"cache capacity must be >= 2, got {capacity}")
-        self.capacity = capacity
-        self._current: dict = {}
-        self._previous: dict = {}
-
-    def get(self, key, default=None):
-        value = self._current.get(key)
-        if value is not None:
-            return value
-        value = self._previous.get(key)
-        if value is not None:
-            self[key] = value  # promote: hot entries outlive their generation
-            return value
-        return default
-
-    def __setitem__(self, key, value) -> None:
-        if key not in self._current and len(self._current) >= self.capacity // 2:
-            self._previous = self._current
-            self._current = {}
-        self._current[key] = value
-
-    def __contains__(self, key) -> bool:
-        return key in self._current or key in self._previous
-
-    def __len__(self) -> int:
-        overlap = sum(1 for key in self._previous if key in self._current)
-        return len(self._current) + len(self._previous) - overlap
-
-    def clear(self) -> None:
-        self._current = {}
-        self._previous = {}
-
 
 @dataclass
 class ServedResult:
@@ -233,9 +174,12 @@ class ServingExecutor:
     def _decode_scope(self):
         """The tuple-decode cache scope for one request (serve mode).
 
-        Validates the cache against the index's mutation stamp first: an
-        insert or delete since the last request clears every entry (a
-        tid-level stale read is never possible).  Capacity needs no
+        Validates the cache against the index's mutation stamp first: a
+        mutation this executor did not apply itself (``index.insert``
+        called directly, a build, WAL replay) clears every entry, so a
+        tid-level stale read is never possible.  Mutations that go
+        through :meth:`apply_mutation` keep the stamp in step and
+        invalidate by tid instead.  Capacity needs no
         guard here — :class:`GenerationalTupleCache` bounds itself by
         dropping its oldest generation, so crossing an epoch boundary
         costs only the entries nothing touched for a full generation,
@@ -349,14 +293,26 @@ class ServingExecutor:
 
         ``op`` is ``"insert"`` (needs ``tid`` and ``uda``), ``"delete"``
         (needs ``tid``), or ``"compact"``.  The mutation runs against
-        the warm pool, so its dirty pages join the shared working set;
-        the bumped ``mutations`` stamp makes the next request's
-        :meth:`_decode_scope` drop the tuple-decode cache.  The server
-        executes mutations on the same single worker thread as queries
-        (one at a time, never interleaved with a batch), which is what
-        makes a mutation atomic from every reader's point of view.
+        the warm pool, so its dirty pages join the shared working set.
+        The server executes mutations on the same single worker thread
+        as queries (one at a time, never interleaved with a batch),
+        which is what makes a mutation atomic from every reader's point
+        of view.
+
+        The tuple-decode cache is invalidated *by tid*: a decoded tuple
+        depends only on its own stored pairs, so an insert or delete
+        discards that one entry (on insert too, so a re-used tid can
+        never serve its old pairs) and a compaction, which rewrites
+        pages but no pairs, discards nothing.  That is only sound when
+        the cache was in step with the index beforehand and the
+        operation completed; otherwise the stamp is left behind and the
+        next request's :meth:`_decode_scope` clears the whole cache.
         """
         self._attach_warm_pool()
+        in_step = (
+            self.tuple_cache is not None
+            and self.index.mutations == self._mutation_stamp
+        )
         if op == "insert":
             if tid is None or uda is None:
                 raise QueryError("insert needs tid and uda")
@@ -373,6 +329,10 @@ class ServingExecutor:
             self.index.compact()
         else:
             raise QueryError(f"unknown mutation op {op!r}")
+        if in_step:
+            if op != "compact":
+                self.tuple_cache.discard(tid)
+            self._mutation_stamp = self.index.mutations
         return int(getattr(self.index, "mutations", 0))
 
     # -- warm-pool telemetry -------------------------------------------------
@@ -380,6 +340,13 @@ class ServingExecutor:
     def hit_ratio(self) -> float:
         """The warm pool's hit ratio over the current reporting window."""
         return self.pool.hit_ratio if self.pool is not None else 0.0
+
+    def tuple_cache_stats(self) -> dict[str, int]:
+        """Residency and lifetime hit / miss counts of the tuple-decode cache."""
+        cache = self.tuple_cache
+        if cache is None:
+            return {"entries": 0, "hits": 0, "misses": 0}
+        return {"entries": len(cache), "hits": cache.hits, "misses": cache.misses}
 
     def reset_window(self) -> None:
         """Start a fresh telemetry window (serve mode; no-op in measure).

@@ -24,8 +24,11 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
+import sys
+
 import numpy as np
 
+from repro.core import kernels
 from repro.core.config import read_env_int
 from repro.core.exceptions import KeyNotFoundError, QueryError
 from repro.core.queries import (
@@ -41,6 +44,7 @@ from repro.core.results import QueryResult
 from repro.core.uda import UncertainAttribute
 from repro.invindex.postings import PostingList
 from repro.invindex.segments import PostingSegment, SegmentedPostingList
+from repro.invindex.tuple_cache import GenerationalTupleCache, concat_rows
 from repro.obs import trace as _trace
 from repro.obs.metrics import METRICS
 from repro.storage.buffer import BufferPool
@@ -102,7 +106,7 @@ class ProbabilisticInvertedIndex:
         self._lists: dict[int, PostingList] = {}
         self._heap = HeapFile(self._pool, tag="tuples")
         self._rid_of_tid: dict[int, Rid] = {}
-        self._tuple_memo: dict[int, tuple[np.ndarray, np.ndarray]] | None = None
+        self._tuple_memo: GenerationalTupleCache | None = None
         self.num_tuples = 0
         #: Monotonic mutation counter (insert/delete/build/compact).
         #: Long-lived caches keyed by tid (the serving executor's
@@ -157,10 +161,11 @@ class ProbabilisticInvertedIndex:
             self.sketch.pool = pool
 
     @contextmanager
-    def shared_scan(self, memo: dict | None = None):
+    def shared_scan(self, memo: GenerationalTupleCache | None = None):
         """Memoize random-access tuple decodes for a batch of queries.
 
-        While active, :meth:`fetch_uda_arrays` keeps each decoded tuple in
+        While active, :meth:`fetch_uda_arrays` / :meth:`fetch_uda_block`
+        keep each decoded tuple in
         memory, so a tuple verified by one query in a batch is served to
         every later query without re-fetching its heap page or re-decoding
         the record.  Per-query logical behavior (answer sets, scores, stop
@@ -169,17 +174,20 @@ class ProbabilisticInvertedIndex:
         models with its shared per-batch pool.  Never active at batch
         size 1, so per-query I/O counts stay the paper's.
 
-        ``memo`` lets a caller own the memo dict and carry it across
+        ``memo`` lets a caller own the memo and carry it across
         scopes — the serving executor passes its long-lived tuple cache
         here so decode warmth survives between requests while the index
         itself stays memo-free (and measurement-exact) whenever no scope
         is active.  The caller owning ``memo`` owns its invalidation
-        (see :attr:`mutations`).
+        (see :attr:`mutations`).  The default is a cache of the same
+        type that never evicts and dies with the scope.
         """
         if self._tuple_memo is not None:  # nested batches don't occur,
             yield  # but re-entry must not clear the outer scope's memo
             return
-        self._tuple_memo = {} if memo is None else memo
+        self._tuple_memo = (
+            GenerationalTupleCache(sys.maxsize) if memo is None else memo
+        )
         try:
             yield
         finally:
@@ -463,10 +471,15 @@ class ProbabilisticInvertedIndex:
         access, no re-validation).
         """
         memo = self._tuple_memo
-        if memo is not None:
-            cached = memo.get(tid)
-            if cached is not None:
-                return cached
+        if memo is None:
+            return self._decode_tuple(tid)
+        cached = memo.get(tid)
+        if cached is None:
+            cached = memo[tid] = self._decode_tuple(tid)
+        return cached
+
+    def _decode_tuple(self, tid: int) -> tuple[np.ndarray, np.ndarray]:
+        """Read and decode one tuple-list record (the uncached access)."""
         try:
             rid = self._rid_of_tid[tid]
         except KeyError:
@@ -478,10 +491,57 @@ class ProbabilisticInvertedIndex:
             raise KeyNotFoundError(
                 f"tuple list corrupted: rid of tid {tid} holds {stored_tid}"
             )
-        arrays = pairs["item"].astype(np.int64), pairs["prob"].astype(np.float64)
-        if memo is not None:
-            memo[tid] = arrays
-        return arrays
+        return pairs["item"].astype(np.int64), pairs["prob"].astype(np.float64)
+
+    def fetch_uda_block(
+        self, tids: np.ndarray, announce=None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Random access for a run of distinct tids, as one ragged block.
+
+        Returns ``(items, probs, starts, lens)``: tuple ``i`` is the
+        extent ``starts[i]``, ``lens[i]`` of the flat arrays — the shape
+        :meth:`~repro.core.uda.UncertainAttribute.equality_with_block`
+        scores.  Tuples the active memo holds come straight out of its
+        columnar store with no per-tuple work; the rest are decoded one
+        by one *in run order* exactly as :meth:`fetch_uda_arrays` would
+        (so the sequence of page accesses is that of the per-tid loop)
+        and join the memo as one batch.
+
+        ``announce``, if given, is called with every tid in run order,
+        each call before that tid's page access — the hook a traced
+        strategy emits its per-candidate records through.
+        """
+        memo = self._tuple_memo
+        if memo is None:
+            held = np.zeros(len(tids), dtype=np.bool_)
+        else:
+            items, probs, starts, lens = memo.rows(tids)
+            held = lens >= 0
+        if announce is None:
+            decoded = [self._decode_tuple(tid) for tid in tids[~held].tolist()]
+        else:
+            decoded = []
+            for tid, cached in zip(tids.tolist(), held.tolist()):
+                announce(tid)
+                if not cached:
+                    decoded.append(self._decode_tuple(tid))
+        if memo is None:
+            return concat_rows(decoded)
+        if not decoded:
+            return items, probs, starts, lens
+        fresh_items, fresh_probs, fresh_starts, fresh_lens = concat_rows(decoded)
+        memo.extend(tids[~held], fresh_items, fresh_probs, fresh_lens)
+        # Stitch: cached rows gathered out of the memo's buffers, then
+        # the fresh rows behind them.
+        index, starts[held] = kernels.gather_rows(starts[held], lens[held])
+        starts[~held] = len(index) + fresh_starts
+        lens[~held] = fresh_lens
+        return (
+            np.concatenate([items.take(index), fresh_items]),
+            np.concatenate([probs.take(index), fresh_probs]),
+            starts,
+            lens,
+        )
 
     def fetch_uda(self, tid: int) -> UncertainAttribute:
         """Random access: fetch a tuple's full UDA from the tuple list."""

@@ -138,10 +138,18 @@ class _NovelFilter:
             self._seen: set[int] = set()
             self._filter = None
 
-    def admit(self, tids: np.ndarray) -> list[int]:
+    def admit(self, tids: np.ndarray) -> np.ndarray:
         if self._filter is not None:
-            return self._filter.admit(tids).tolist()
-        return _scalar_novel(self._seen, tids)
+            return self._filter.admit(tids)
+        return np.array(_scalar_novel(self._seen, tids), dtype=np.int64)
+
+
+def _matches(tids: np.ndarray, scores: np.ndarray, keep: np.ndarray) -> list[Match]:
+    """:class:`Match` objects for the rows of a verified block under ``keep``."""
+    return [
+        Match(tid=tid, score=score)
+        for tid, score in zip(tids[keep].tolist(), scores[keep].tolist())
+    ]
 
 
 class _TopKFrontier:
@@ -150,7 +158,8 @@ class _TopKFrontier:
     The seed code builds a :class:`Match` per positive candidate and
     re-sorts the whole list after every consumed run just to read
     ``found[k - 1].score``.  The scalar mode keeps exactly that; the
-    vectorized mode tracks plain ``(tid, score)`` lists, reads the k-th
+    vectorized mode keeps the verified blocks as plain ``tids`` /
+    ``scores`` arrays, reads the k-th
     largest with ``np.partition`` (the same float the sorted list holds
     at ``[k - 1]`` — selection, no arithmetic), and materializes only
     the k result matches via :func:`kernels.top_k_matches`, which
@@ -163,20 +172,22 @@ class _TopKFrontier:
         self._k = k
         self._vectorized = kernels.vectorized()
         self._found: list[Match] = []
-        self._tids: list[int] = []
-        self._scores: list[float] = []
+        self._tids = np.empty(0, dtype=np.int64)
+        self._scores = np.empty(0, dtype=np.float64)
 
     def __len__(self) -> int:
         if self._vectorized:
             return len(self._tids)
         return len(self._found)
 
-    def add(self, tid: int, score: float) -> None:
+    def add(self, tids: np.ndarray, scores: np.ndarray) -> None:
+        """Admit a verified block's strictly positive candidates."""
+        keep = scores > 0.0
         if self._vectorized:
-            self._tids.append(tid)
-            self._scores.append(score)
+            self._tids = np.concatenate([self._tids, tids[keep]])
+            self._scores = np.concatenate([self._scores, scores[keep]])
         else:
-            self._found.append(Match(tid=tid, score=score))
+            self._found.extend(_matches(tids, scores, keep))
 
     def round_done(self) -> None:
         """Called where the seed code re-sorted after a consumed run."""
@@ -185,27 +196,27 @@ class _TopKFrontier:
 
     def tau_k(self) -> float:
         """The k-th best exact score so far (0.0 until k are found)."""
-        if self._vectorized:
-            if len(self._tids) < self._k:
-                return 0.0
-            return kernels.kth_largest(np.asarray(self._scores), self._k)
-        if len(self._found) < self._k:
+        if len(self) < self._k:
             return 0.0
+        if self._vectorized:
+            return kernels.kth_largest(self._scores, self._k)
         return self._found[self._k - 1].score
 
     def results(self) -> list[Match]:
         if not self._vectorized:
             return self._found[: self._k]
-        tids = np.asarray(self._tids, dtype=np.int64)
-        scores = np.asarray(self._scores)
-        pick = kernels.top_k_matches(tids, scores, self._k)
-        return [
-            Match(tid=int(tids[i]), score=float(scores[i])) for i in pick
-        ]
+        pick = kernels.top_k_matches(self._tids, self._scores, self._k)
+        return _matches(self._tids, self._scores, pick)
 
 
 class _Verifier:
-    """Random-access verification with per-query memoization."""
+    """Random-access verification: exact scores for first-seen candidates.
+
+    Every caller passes tids it has not verified before (first-seen
+    filters, NRA survivors, dict keys), so nothing is memoized per
+    query; decoded tuples are memoized by the index's active
+    :meth:`~ProbabilisticInvertedIndex.shared_scan` scope, if any.
+    """
 
     def __init__(
         self,
@@ -216,13 +227,14 @@ class _Verifier:
         self._index = index
         self._q = q
         self._stats = stats
-        self._cache: dict[int, float] = {}
+        # The block path needs the vectorized scorer and an index that
+        # offers block random access (test doubles may not).
+        self._fetch_block = (
+            getattr(index, "fetch_uda_block", None) if kernels.vectorized() else None
+        )
 
     def score(self, tid: int) -> float:
-        """Exact ``Pr(q = tid)`` via one random access (memoized)."""
-        cached = self._cache.get(tid)
-        if cached is not None:
-            return cached
+        """Exact ``Pr(q = tid)`` via one random access."""
         self._stats.random_accesses += 1
         self._stats.candidates_examined += 1
         METRICS.inc("verify.random_access")
@@ -230,40 +242,38 @@ class _Verifier:
         if tracer is not None:
             tracer.event("verify.random_access", tid=tid)
         items, probs = self._index.fetch_uda_arrays(tid)
-        probability = self._q.equality_with_arrays(items, probs)
-        self._cache[tid] = probability
-        return probability
+        return self._q.equality_with_arrays(items, probs)
 
-    def score_many(self, tids: list[int]) -> list[float]:
-        """:meth:`score` for a run of candidates, bookkeeping hoisted.
+    def score_many(self, tids: np.ndarray) -> np.ndarray:
+        """:meth:`score` for a run of distinct candidates, as one array.
 
-        Semantically a per-tid :meth:`score` loop — same scores, same
-        per-miss trace events in the same order, same counter totals —
-        with the attribute lookups and counter updates lifted out of the
-        per-candidate hot path.
+        Same scores, counter totals and trace records as a per-tid
+        :meth:`score` loop, and the tuple list is accessed in the same
+        (run) order.  Under the vectorized kernel the run is fetched and
+        scored as one block: untraced, nothing runs per tid; traced, the
+        only per-tid work is the ``verify.random_access`` record, still
+        emitted before that tid's page access.
         """
-        cache = self._cache
+        count = len(tids)
+        if count == 0:
+            return np.empty(0, dtype=np.float64)
+        self._stats.random_accesses += count
+        self._stats.candidates_examined += count
+        METRICS.inc("verify.random_access", count)
+        tracer = _trace.ACTIVE
+        if self._fetch_block is not None:
+            announce = None
+            if tracer is not None:
+                def announce(tid):
+                    tracer.event("verify.random_access", tid=tid)
+            return self._q.equality_with_block(*self._fetch_block(tids, announce))
         fetch = self._index.fetch_uda_arrays
         equality = self._q.equality_with_arrays
-        tracer = _trace.ACTIVE
-        scores = []
-        misses = 0
-        for tid in tids:
-            cached = cache.get(tid)
-            if cached is not None:
-                scores.append(cached)
-                continue
-            misses += 1
+        scores = np.empty(count, dtype=np.float64)
+        for position, tid in enumerate(tids.tolist()):
             if tracer is not None:
                 tracer.event("verify.random_access", tid=tid)
-            items, probs = fetch(tid)
-            probability = equality(items, probs)
-            cache[tid] = probability
-            scores.append(probability)
-        if misses:
-            self._stats.random_accesses += misses
-            self._stats.candidates_examined += misses
-            METRICS.inc("verify.random_access", misses)
+            scores[position] = equality(*fetch(tid))
         return scores
 
 
@@ -446,12 +456,7 @@ class InvIndexSearch(SearchStrategy):
         _begin(self.name, "threshold", tau=tau)
         tids, scores = self._gather(index, q, stats)
         _stop(stats, self.name, "scan_complete")
-        keep = scores >= tau
-        matches = [
-            Match(tid=tid, score=score)
-            for tid, score in zip(tids[keep].tolist(), scores[keep].tolist())
-        ]
-        return QueryResult(matches, stats)
+        return QueryResult(_matches(tids, scores, scores >= tau), stats)
 
     def top_k(self, index, q, k, tau_floor=0.0):
         # tau_floor cannot save work here: the scan is exhaustive by
@@ -464,11 +469,7 @@ class InvIndexSearch(SearchStrategy):
         pick = positive[
             kernels.top_k_matches(tids[positive], scores[positive], k)
         ]
-        matches = [
-            Match(tid=tid, score=score)
-            for tid, score in zip(tids[pick].tolist(), scores[pick].tolist())
-        ]
-        return QueryResult(matches, stats)
+        return QueryResult(_matches(tids, scores, pick), stats)
 
 
 # ---------------------------------------------------------------------------
@@ -509,9 +510,8 @@ class HighestProbFirst(SearchStrategy):
             tids, _ = cursors.pop_run(j)
             stats.entries_scanned += len(tids)
             novel_tids = novel.admit(tids)
-            for tid, score in zip(novel_tids, verifier.score_many(novel_tids)):
-                if score >= tau:
-                    matches.append(Match(tid=tid, score=score))
+            scores = verifier.score_many(novel_tids)
+            matches += _matches(novel_tids, scores, scores >= tau)
         return QueryResult(matches, stats)
 
     def top_k(self, index, q, k, tau_floor=0.0):
@@ -542,9 +542,7 @@ class HighestProbFirst(SearchStrategy):
             tids, _ = cursors.pop_run(j)
             stats.entries_scanned += len(tids)
             novel_tids = novel.admit(tids)
-            for tid, score in zip(novel_tids, verifier.score_many(novel_tids)):
-                if score > 0.0:
-                    found.add(tid, score)
+            found.add(novel_tids, verifier.score_many(novel_tids))
             found.round_done()
         return QueryResult(found.results(), stats)
 
@@ -590,9 +588,8 @@ class RowPruning(SearchStrategy):
             tids, _ = posting_list.read_all()
             stats.entries_scanned += len(tids)
             novel_tids = novel.admit(tids)
-            for tid, score in zip(novel_tids, verifier.score_many(novel_tids)):
-                if score >= tau:
-                    matches.append(Match(tid=tid, score=score))
+            scores = verifier.score_many(novel_tids)
+            matches += _matches(novel_tids, scores, scores >= tau)
         else:
             _stop(stats, self.name, "exhausted")
         return QueryResult(matches, stats)
@@ -626,9 +623,7 @@ class RowPruning(SearchStrategy):
             tids, _ = posting_list.read_all()
             stats.entries_scanned += len(tids)
             novel_tids = novel.admit(tids)
-            for tid, score in zip(novel_tids, verifier.score_many(novel_tids)):
-                if score > 0.0:
-                    found.add(tid, score)
+            found.add(novel_tids, verifier.score_many(novel_tids))
             found.round_done()
         else:
             _stop(stats, self.name, "exhausted")
@@ -664,9 +659,8 @@ class ColumnPruning(SearchStrategy):
             tids, _ = posting_list.read_prefix(cutoff)
             stats.entries_scanned += len(tids)
             novel_tids = novel.admit(tids)
-            for tid, score in zip(novel_tids, verifier.score_many(novel_tids)):
-                if score >= tau:
-                    matches.append(Match(tid=tid, score=score))
+            scores = verifier.score_many(novel_tids)
+            matches += _matches(novel_tids, scores, scores >= tau)
         # Every list was visited (to its prefix cutoff); there is no
         # early-stop decision to attribute.
         _stop(stats, self.name, "scan_complete")
@@ -710,11 +704,7 @@ class ColumnPruning(SearchStrategy):
                 stats.entries_scanned += int(keep.sum())
                 advanced = True
                 novel_tids = novel.admit(run_tids[keep])
-                for tid, score in zip(
-                    novel_tids, verifier.score_many(novel_tids)
-                ):
-                    if score > 0.0:
-                        found.add(tid, score)
+                found.add(novel_tids, verifier.score_many(novel_tids))
                 found.round_done()
             if not advanced:
                 break
@@ -821,12 +811,9 @@ class NoRandomAccess(SearchStrategy):
             pool.update_run(
                 run_tids, run_probs, j, cursors.q_probs[j], admit=discovering
             )
-        matches = []
-        live = pool.live_tids()
-        for tid, score in zip(live, verifier.score_many(live)):
-            if score >= tau:
-                matches.append(Match(tid=tid, score=score))
-        return QueryResult(matches, stats)
+        live = pool.tids[pool.alive]  # admission order: the verification order
+        scores = verifier.score_many(live)
+        return QueryResult(_matches(live, scores, scores >= tau), stats)
 
     def _threshold_scalar(self, tau, stats, verifier, cursors):
         """The original per-posting NRA loop (``REPRO_KERNEL=scalar``)."""
@@ -980,11 +967,9 @@ class NoRandomAccess(SearchStrategy):
         ]
         lacks = kernels.masked_lacks(pool.masks, terms)
         keep = ~(pool.partial + lacks < tau_eff - EPSILON)
-        found = []
-        survivors = pool.tids[keep].tolist()
-        for tid, score in zip(survivors, verifier.score_many(survivors)):
-            if score > 0.0:
-                found.append(Match(tid=tid, score=score))
+        survivors = pool.tids[keep]
+        scores = verifier.score_many(survivors)
+        found = _matches(survivors, scores, scores > 0.0)
         found.sort()
         return QueryResult(found[:k], stats)
 

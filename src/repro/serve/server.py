@@ -366,6 +366,7 @@ class QueryServer:
                 queued=len(self._queue),
                 counters=dict(self.counters),
                 hit_ratio=self.executor.hit_ratio(),
+                tuple_cache=self.executor.tuple_cache_stats(),
             )
         elif op == "reset_window":
             self.executor.reset_window()

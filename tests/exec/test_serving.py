@@ -205,7 +205,11 @@ def test_reset_window_preserves_warmth(index, relation):
 
 
 def test_tuple_cache_invalidated_by_mutation(relation):
-    """An insert between requests never serves stale decoded tuples."""
+    """An insert between requests never serves stale decoded tuples.
+
+    The insert goes straight to the index — not through
+    ``apply_mutation`` — so the executor only finds out from the
+    mutation stamp, and must drop everything it had decoded."""
     import numpy as np
 
     from repro.core import EqualityThresholdQuery, UncertainAttribute
@@ -217,13 +221,19 @@ def test_tuple_cache_invalidated_by_mutation(relation):
     )
     serve = ServingExecutor(index, mode="serve")
     before = serve.execute(query)
-    assert serve.tuple_cache, "verification should have populated the cache"
+    cache = serve.tuple_cache
+    assert len(cache), "verification should have populated the cache"
+    cached_tids = [tid for tid in relation.tids() if tid in cache]
     new_tid = max(relation.tids()) + 1
     index.insert(
         new_tid,
         UncertainAttribute(np.array([0, 1]), np.array([0.5, 0.5])),
     )
+    hits = cache.hits
     after = serve.execute(query)
+    # Safety net: every entry was dropped and decoded afresh.
+    assert cache.hits == hits
+    assert all(tid in cache for tid in cached_tids) and new_tid in cache
     fresh = ServingExecutor(index, mode="measure", pool_size=POOL_SIZE)
     expected = fresh.execute(query)
     assert answers([after]) == answers([expected])
@@ -335,12 +345,37 @@ def test_strategy_pairing_validated_up_front(tree):
 
 
 class TestGenerationalTupleCache:
-    """Generation-segmented eviction (the epoch-clear regression)."""
+    """Generation-segmented eviction (the epoch-clear regression).
+
+    Keys are tids and values decoded ``(items, probs)`` pairs — the only
+    thing the columnar store holds.
+    """
+
+    HOT, COLD = 10_001, 10_002
 
     def make(self, capacity=8):
         from repro.exec import GenerationalTupleCache
 
         return GenerationalTupleCache(capacity)
+
+    @staticmethod
+    def row(tid):
+        """A decoded tuple that identifies its tid (width varies too)."""
+        import numpy as np
+
+        width = 1 + tid % 3
+        return (
+            np.arange(tid, tid + width, dtype=np.int64),
+            np.full(width, 1.0 / (1 + tid % 7)),
+        )
+
+    @staticmethod
+    def same(value, expected):
+        return (
+            value is not None
+            and value[0].tolist() == expected[0].tolist()
+            and value[1].tolist() == expected[1].tolist()
+        )
 
     def test_capacity_is_validated(self):
         with pytest.raises(QueryError):
@@ -348,64 +383,260 @@ class TestGenerationalTupleCache:
 
     def test_dict_surface(self):
         cache = self.make()
-        cache["a"] = 1
-        assert cache.get("a") == 1
-        assert cache.get("zzz", "fallback") == "fallback"
-        assert "a" in cache and len(cache) == 1
+        cache[5] = self.row(5)
+        assert self.same(cache.get(5), self.row(5))
+        assert cache.get(999, "fallback") == "fallback"
+        assert 5 in cache and len(cache) == 1
+        cache[5] = self.row(6)  # overwrite, not a second row
+        assert self.same(cache.get(5), self.row(6)) and len(cache) == 1
+        cache.discard(5)
+        cache.discard(5)  # absent: a no-op
+        assert 5 not in cache and len(cache) == 0
+        cache[7] = self.row(7)
         cache.clear()
-        assert "a" not in cache and len(cache) == 0
+        assert 7 not in cache and len(cache) == 0
 
     def test_residency_stays_bounded(self):
         cache = self.make(capacity=8)
         for i in range(1000):
-            cache[i] = i
-        assert len(cache) <= 8
+            cache[i] = self.row(i)
+            assert len(cache) <= 8
+        assert self.same(cache.get(999), self.row(999))
 
     def test_hot_entry_survives_epoch_boundaries(self):
         """The regression: a key touched every generation is never evicted."""
         cache = self.make(capacity=8)
-        cache["hot"] = "payload"
+        cache[self.HOT] = self.row(self.HOT)
         for i in range(100):  # 25x the capacity: many rotations
-            cache[i] = i
-            assert cache.get("hot") == "payload", f"evicted after {i} inserts"
+            cache[i] = self.row(i)
+            assert self.same(
+                cache.get(self.HOT), self.row(self.HOT)
+            ), f"evicted after {i} inserts"
 
     def test_untouched_entries_age_out(self):
         cache = self.make(capacity=8)
-        cache["cold"] = 1
+        cache[self.COLD] = self.row(self.COLD)
         for i in range(8):  # two full generations without a touch
-            cache[i] = i
-        assert cache.get("cold") is None
+            cache[i] = self.row(i)
+        assert cache.get(self.COLD) is None
+
+    def test_block_surface_matches_per_tuple_surface(self):
+        """``rows`` / ``extend`` and ``get`` / ``__setitem__`` are one store."""
+        import numpy as np
+
+        from repro.invindex.tuple_cache import concat_rows
+
+        cache = self.make(capacity=64)
+        tids = np.array([40, 3, 17, 900], dtype=np.int64)  # sparse, unsorted
+        items, probs, _, lens = concat_rows([self.row(t) for t in tids.tolist()])
+        cache.extend(tids, items, probs, lens)
+        cache[8] = self.row(8)
+        probe = np.array([17, 8, 5, 900, 40], dtype=np.int64)
+        flat_items, flat_probs, starts, lens = cache.rows(probe)
+        assert lens[2] == -1  # tid 5 was never inserted
+        for tid, start, width in zip(probe.tolist(), starts.tolist(), lens.tolist()):
+            if width >= 0:
+                block_row = (
+                    flat_items[start : start + width],
+                    flat_probs[start : start + width],
+                )
+                assert self.same(block_row, self.row(tid))
+                assert self.same(cache.get(tid), self.row(tid))
+        assert (cache.hits, cache.misses) == (4 + 4, 1)
+
+    def test_oversized_block_keeps_residency_bounded(self):
+        import numpy as np
+
+        from repro.invindex.tuple_cache import concat_rows
+
+        cache = self.make(capacity=8)
+        tids = np.arange(100, 130, dtype=np.int64)
+        items, probs, _, lens = concat_rows([self.row(t) for t in tids.tolist()])
+        cache.extend(tids, items, probs, lens)
+        assert len(cache) <= 8
+        assert self.same(cache.get(129), self.row(129))  # most recent rows kept
+
+    def test_discarded_pairs_are_reclaimed(self):
+        """Churn (insert + discard forever) must not grow the flat buffers."""
+        cache = self.make(capacity=1 << 12)
+        for i in range(5000):
+            cache[i] = self.row(i)
+            if i >= 4:
+                cache.discard(i - 4)
+        assert len(cache) == 4
+        assert len(cache._items) <= 256  # white-box: garbage was compacted
 
 
-def test_warm_hit_rate_survives_epoch_boundary(relation):
+def test_warm_hit_rate_survives_epoch_boundary():
     """Regression: crossing the cache's entry cap used to clear it whole,
 
     so the request after the boundary re-decoded every hot tuple.  With
-    generational eviction the hot working set stays resident across the
-    boundary."""
+    generational eviction a hot working set that is re-touched between
+    boundaries is never decoded again, however much cold traffic rotates
+    through — and residency never exceeds the (tiny) cap."""
     import numpy as np
 
     from repro.core import EqualityThresholdQuery, UncertainAttribute
 
-    index = ProbabilisticInvertedIndex(len(relation.domain))
+    domain_size = 60
+    relation = random_relation(1200, domain_size, seed=67, max_nnz=3)
+    index = ProbabilisticInvertedIndex(domain_size)
     index.build(relation)
     hot_query = EqualityThresholdQuery(
-        UncertainAttribute(np.array([0, 1]), np.array([0.5, 0.5])), 0.01
+        UncertainAttribute(np.array([0, 1]), np.array([0.5, 0.5])), 0.6
     )
-    serve = ServingExecutor(index, mode="serve", tuple_cache_entries=16)
+    cold_queries = [
+        EqualityThresholdQuery(UncertainAttribute.point(item), 0.9)
+        for item in range(2, domain_size)
+    ]
+    # Size the cap from the workload: the hot set plus one cold
+    # query's candidates fit a generation, the cold traffic as a whole
+    # is several times the cap.
+    probe = ServingExecutor(index, mode="serve")
+    probe.execute(hot_query)
+    hot_size = len(probe.tuple_cache)
+    widest_cold = 0
+    for query in cold_queries:
+        before = len(probe.tuple_cache)
+        probe.execute(query)
+        widest_cold = max(widest_cold, len(probe.tuple_cache) - before)
+    capacity = 2 * (hot_size + widest_cold)
+    assert hot_size and len(probe.tuple_cache) > 3 * capacity
+
+    serve = ServingExecutor(index, mode="serve", tuple_cache_entries=capacity)
+    cache = serve.tuple_cache
     serve.execute(hot_query)
-    hot_tids = {
-        tid for tid in serve.tuple_cache._current  # the hot working set
-    }
-    assert hot_tids, "hot query should have decoded tuples into the cache"
-    # Drive enough distinct cold queries to cross the cap repeatedly
-    # while re-touching the hot query each round.
-    for seed in range(12):
-        for q in mixed_workload(len(relation.domain), 3, base_seed=100 + seed):
-            serve.execute(q)
+    hot_tids = [tid for tid in relation.tids() if tid in cache]
+    assert len(hot_tids) == hot_size
+    for round_number, cold in enumerate(cold_queries):
+        serve.execute(cold)
+        assert len(cache) <= capacity
+        decoded = cache.misses
         serve.execute(hot_query)
-        resident = sum(1 for tid in hot_tids if tid in serve.tuple_cache)
-        assert resident == len(hot_tids), (
-            f"hot set partially evicted after round {seed}: "
-            f"{resident}/{len(hot_tids)} resident"
+        assert cache.misses == decoded, (
+            f"hot set re-decoded after round {round_number}: "
+            f"{cache.misses - decoded} misses"
         )
+        assert all(tid in cache for tid in hot_tids)
+        assert len(cache) <= capacity
+    # The cold traffic really did rotate through: most of what was
+    # decoded along the way is gone again.
+    assert cache.misses > 3 * capacity
+
+
+def test_tuple_cache_stays_coherent_under_interleaved_mutations(
+    relation, monkeypatch
+):
+    """Per-tid invalidation never serves a stale tuple, whatever the path.
+
+    Mutations arrive through ``apply_mutation`` (insert, delete,
+    delete-then-reinsert of one tid with different pairs, compact) and
+    out of band (``index.insert`` / ``index.delete`` behind the
+    executor's back); after every step a fixed query set must answer
+    exactly like a fresh measurement-mode executor — tids, scores,
+    order.  And the point of invalidating by tid: an executor-applied
+    write leaves every other decoded tuple resident.
+    """
+    import numpy as np
+
+    from repro.core import (
+        EqualityThresholdQuery,
+        EqualityTopKQuery,
+        UncertainAttribute,
+    )
+
+    def uda(*pairs):
+        return UncertainAttribute.from_pairs(list(pairs))
+
+    from repro.invindex import index as index_module
+
+    decoded = []  # every heap-record decode, served or measured
+    decode = index_module.decode_heap_record
+    monkeypatch.setattr(
+        index_module,
+        "decode_heap_record",
+        lambda record: decoded.append(1) or decode(record),
+    )
+
+    index = ProbabilisticInvertedIndex(len(relation.domain))
+    index.build(relation)
+    serve = ServingExecutor(index, mode="serve")
+    cache = serve.tuple_cache
+    probe = uda((0, 0.5), (1, 0.5))
+    queries = [
+        EqualityThresholdQuery(probe, 0.01),
+        EqualityTopKQuery(probe, 300),
+        EqualityThresholdQuery(uda((2, 0.6), (3, 0.4)), 0.02),
+        *mixed_workload(len(relation.domain), 3, base_seed=71),
+    ]
+
+    def check(step):
+        # Measure first: serving last leaves the warm pool attached, so
+        # an out-of-band mutation writes through the pool that serves.
+        measure = ServingExecutor(index, mode="measure", pool_size=POOL_SIZE)
+        expected = [answers([measure.execute(query)]) for query in queries]
+        decodes_before = len(decoded)
+        for position, query in enumerate(queries):
+            assert (
+                answers([serve.execute(query)]) == expected[position]
+            ), f"stale answer after {step}, query {position}"
+        serve.check_quiesced()
+        return len(decoded) - decodes_before  # heap records the serve leg decoded
+
+    assert check("build") > 50
+    assert check("nothing") == 0
+    resident = [tid for tid in relation.tids() if tid in cache]
+    assert len(resident) > 50
+    fresh_tid = max(relation.tids()) + 1
+    reused_tid = resident[0]
+    stamp = index.mutations
+
+    # Executor-applied insert: only that tid is touched.
+    assert serve.apply_mutation("insert", tid=fresh_tid, uda=probe) == stamp + 1
+    assert all(tid in cache for tid in resident)
+    # The next requests decode the new tuple and nothing else (the
+    # parent cleared the cache here and decoded every candidate again).
+    assert check("apply insert") == 1
+    assert fresh_tid in cache and all(tid in cache for tid in resident)
+
+    # Executor-applied delete: that tid goes, the rest stay.
+    serve.apply_mutation("delete", tid=fresh_tid)
+    assert fresh_tid not in cache
+    assert check("apply delete") == 0
+    assert all(tid in cache for tid in resident)
+
+    # Delete, then re-insert the same tid with different pairs.
+    old_pairs = index.fetch_uda(reused_tid)
+    serve.apply_mutation("delete", tid=reused_tid)
+    serve.apply_mutation("insert", tid=reused_tid, uda=uda((0, 0.125), (1, 0.875)))
+    assert reused_tid not in cache
+    assert check("delete + reinsert, new pairs") == 1
+    assert reused_tid in cache
+    pairs_now = cache.get(reused_tid)
+    assert pairs_now[1].tolist() == [0.125, 0.875] != old_pairs.probs.tolist()
+
+    # Compaction rewrites pages, not pairs: nothing is discarded.
+    held = len(cache)
+    serve.apply_mutation("compact")
+    assert len(cache) == held
+    assert check("apply compact") == 0
+
+    # Out of band: the executor never saw these, the stamp did.
+    index.insert(fresh_tid, uda((0, 0.25), (1, 0.75)))
+    assert check("out-of-band insert") > 50  # safety net: all decoded again
+    index.delete(fresh_tid)
+    index.delete(resident[1])
+    check("out-of-band deletes")
+
+    # Out of band *then* through the executor: the stamp had already
+    # moved, so the executor must not adopt the new one.
+    index.insert(fresh_tid, uda((1, 1.0)))
+    serve.apply_mutation("delete", tid=resident[2])
+    check("out-of-band insert + apply delete")
+
+    # A refused mutation changes nothing and poisons nothing.
+    with pytest.raises(QueryError):
+        serve.apply_mutation("insert", tid=resident[3], uda=probe)
+    check("refused insert")
+    serve.apply_mutation("compact")
+    check("final compact")

@@ -170,3 +170,73 @@ def test_differential_under_fault_injection(dataset, strategy):
                 ),
                 strategy,
             )
+
+
+# ---------------------------------------------------------------------------
+# Serve-mode leg: the block verification path against the per-tid loop
+# ---------------------------------------------------------------------------
+
+def _serve_legs(index, make_query, strategy, mode):
+    """Three requests through one serve-mode executor under ``mode``.
+
+    The first meets a cold tuple store (every candidate is decoded and
+    joins it), the repeat a warm one (every candidate comes out of it),
+    and a neighbouring query a half-warm one (runs that mix cached and
+    uncached candidates) — the three block paths of the vectorized
+    kernel; the scalar kernel walks all of them per tid.
+    """
+    from repro.exec import ServingExecutor
+
+    legs = []
+    with kernels.kernel_override(mode):
+        serve = ServingExecutor(index, strategy=strategy, mode="serve")
+        for shift in (0, 0, 1):
+            served = serve.execute(make_query(shift))
+            legs.append(
+                (
+                    [(m.tid, m.score) for m in served.result],
+                    {f: getattr(served.result.stats, f) for f in STAT_FIELDS},
+                    served.reads,
+                    served.reads_by_tag,
+                )
+            )
+        serve.check_quiesced()
+    return legs
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+@settings(
+    max_examples=12,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    seed=st.integers(0, 10_000),
+    kind=st.sampled_from(("threshold", "top_k", "windowed")),
+    tau=st.floats(0.005, 0.5),
+    k=st.integers(1, 40),
+)
+def test_serve_mode_store_states_agree_across_kernels(
+    dataset, strategy, seed, kind, tau, k
+):
+    relation, index = dataset
+
+    def make_query(shift=0):
+        q = _query_uda(len(relation.domain), seed + shift)
+        if kind == "threshold":
+            return EqualityThresholdQuery(q, tau)
+        if kind == "top_k":
+            return EqualityTopKQuery(q, k)
+        return WindowedEqualityQuery(q, tau, 1 + k % 3)
+
+    vectorized = _serve_legs(index, make_query, strategy, "vectorized")
+    scalar = _serve_legs(index, make_query, strategy, "scalar")
+    for leg, (got, want) in enumerate(zip(vectorized, scalar)):
+        assert got[0] == want[0], f"{strategy} leg {leg}: answers diverge"
+        assert got[1] == want[1], f"{strategy} leg {leg}: stats diverge"
+        assert got[2:] == want[2:], f"{strategy} leg {leg}: reads diverge"
+    cold, warm, _ = vectorized
+    assert warm[:2] == cold[:2]  # warmth changes reads, never answers
+    assert warm[2] == 0  # pool and tuple store hold the whole request
+    # And the served answer is the paper protocol's answer.
+    assert cold[0] == _run(index, make_query, strategy, "vectorized")[0]

@@ -102,3 +102,70 @@ def test_metrics_accumulate_while_tracing_is_off(index):
     assert delta.get("disk.read", 0) > 0
     assert delta.get("pool.miss", 0) == delta["disk.read"]
     assert delta.get("strategy.stop.scan_complete", 0) == 1
+
+
+@pytest.mark.parametrize(
+    "strategy", sorted(set(STRATEGIES) - {"inv_index_search"})
+)
+def test_warm_served_verification_runs_nothing_per_tid(
+    monkeypatch, relation, strategy
+):
+    """The hit path of block verification: no per-candidate Python at all.
+
+    With tracing off, a served request whose candidates are all in the
+    tuple store must verify each posting run as one block.  Poisoned
+    here: the tracer, both per-tuple cache accessors, both per-tuple
+    fetches and both per-tuple scorers.  The counters still add up, and
+    are bumped once per block — not once per tid.
+    """
+    from repro.core import UncertainAttribute
+    from repro.core.uda import QueryVector, _DenseScorer
+    from repro.exec import GenerationalTupleCache, ServingExecutor
+    from repro.obs.metrics import MetricsRegistry
+
+    index = ProbabilisticInvertedIndex(len(relation.domain))
+    index.build(relation)
+    serve = ServingExecutor(index, strategy=strategy, mode="serve")
+    queries = [
+        EqualityThresholdQuery(random_query(DOMAIN_SIZE, seed=5), 0.05),
+        EqualityTopKQuery(random_query(DOMAIN_SIZE, seed=6), 7),
+    ]
+    cold = [serve.execute(query) for query in queries]
+
+    def poison(owner, name):
+        def boom(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError(f"{owner.__name__}.{name} ran on the hit path")
+
+        monkeypatch.setattr(owner, name, boom)
+
+    poison(Tracer, "event")
+    poison(GenerationalTupleCache, "get")
+    poison(GenerationalTupleCache, "__setitem__")
+    poison(ProbabilisticInvertedIndex, "fetch_uda_arrays")
+    poison(ProbabilisticInvertedIndex, "_decode_tuple")
+    poison(_DenseScorer, "score")
+    poison(UncertainAttribute, "equality_with_arrays")
+    poison(QueryVector, "equality_with_arrays")
+
+    bumps: dict[str, int] = {}
+    inc = MetricsRegistry.inc
+
+    def counting_inc(self, name, count=1):
+        bumps[name] = bumps.get(name, 0) + 1
+        inc(self, name, count)
+
+    monkeypatch.setattr(MetricsRegistry, "inc", counting_inc)
+    assert trace_mod.ACTIVE is None
+    before = METRICS.snapshot()
+    warm = [serve.execute(query) for query in queries]
+    delta = METRICS.delta_since(before)
+
+    assert [w.result.matches for w in warm] == [c.result.matches for c in cold]
+    verified = sum(w.result.stats.random_accesses for w in warm)
+    assert verified > 20
+    assert delta["verify.random_access"] == verified
+    assert delta["tuple_cache.hit"] == verified
+    assert "tuple_cache.miss" not in delta and "disk.read" not in delta
+    # One bump per verified block, far fewer than one per candidate.
+    assert bumps["tuple_cache.hit"] == bumps["verify.random_access"]
+    assert bumps["tuple_cache.hit"] * 4 < verified

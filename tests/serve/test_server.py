@@ -99,6 +99,40 @@ def test_control_ops(index, workload):
     assert reset["status"] == "ok"
 
 
+def test_stats_reports_tuple_cache_counts(index, workload):
+    """``stats`` carries the tuple store's residency, hits and misses."""
+
+    async def scenario():
+        async with QueryServer(index, config=ServeConfig()) as server:
+            async with ServeClient(*server.address) as client:
+                empty = await client.stats()
+                await client.query(workload[0])
+                cold = await client.stats()
+                await client.query(workload[0])
+                warm = await client.stats()
+                return empty, cold, warm
+
+    empty, cold, warm = run(scenario())
+    assert empty["tuple_cache"] == {"entries": 0, "hits": 0, "misses": 0}
+    decoded = cold["tuple_cache"]["misses"]
+    assert decoded > 0 and cold["tuple_cache"]["entries"] == decoded
+    assert warm["tuple_cache"] == {
+        "entries": decoded,
+        "hits": cold["tuple_cache"]["hits"] + decoded,
+        "misses": decoded,
+    }
+
+    async def measured():
+        config = ServeConfig(mode="measure", pool_size=POOL_SIZE)
+        async with QueryServer(index, config=config) as server:
+            async with ServeClient(*server.address) as client:
+                await client.query(workload[0])
+                return await client.stats()
+
+    # The paper protocol keeps no tuple store at all.
+    assert run(measured())["tuple_cache"] == {"entries": 0, "hits": 0, "misses": 0}
+
+
 def test_malformed_and_unknown_requests_answer_error(index):
     async def scenario():
         async with QueryServer(index, config=ServeConfig()) as server:
@@ -321,6 +355,62 @@ def test_serve_traces_validate_against_schema(index, workload):
                 members
             )
             assert record["reads"] == sum(m["reads"] for m in members)
+
+    # Trace identity of candidate verification.  Untraced, a served
+    # request verifies a posting run as one block; traced, it must emit
+    # what the per-tid loop emits — one ``verify.random_access`` per
+    # candidate, in run order, each *before* that tid's tuple-list page
+    # access (cold store) or with no page access at all (warm store).
+    # Reference: the same requests, in process, under the scalar kernel.
+    from repro.core import kernels
+
+    queries = workload[:6]
+    served_sink, reference_sink = MemorySink(), MemorySink()
+
+    async def cold_then_warm():
+        async with QueryServer(index, config=ServeConfig(coalesce_ms=0.0)) as server:
+            async with ServeClient(*server.address) as client:
+                for query in queries + queries:
+                    payload = await client.query(query)
+                    assert payload["status"] == "ok"
+
+    with tracing(Tracer(served_sink)):
+        run(cold_then_warm())
+    with kernels.kernel_override("scalar"), tracing(Tracer(reference_sink)):
+        executor = ServingExecutor(index, mode="serve")
+        for query in queries + queries:
+            executor.execute(query)
+
+    def query_records(sink):
+        records = [json.loads(line) for line in sink.jsonl_lines()]
+        for record in records:
+            del record["seq"]  # serve.* records take sequence numbers too
+        return [r for r in records if not r["kind"].startswith("serve.")]
+
+    served = query_records(served_sink)
+    assert served == query_records(reference_sink)
+    heap_pages = set(index._heap.state()["page_ids"])
+
+    def heap_access(record):
+        return (
+            record["kind"] in ("pool.hit", "pool.miss")
+            and record["page_id"] in heap_pages
+        )
+
+    decoded: set[int] = set()
+    for at, record in enumerate(served):
+        if record["kind"] == "verify.random_access":
+            # First sight of a tid reads its heap page right after the
+            # event; once in the store it reads nothing.
+            assert heap_access(served[at + 1]) == (record["tid"] not in decoded)
+            decoded.add(record["tid"])
+        elif heap_access(record):
+            assert served[at - 1]["kind"] == "verify.random_access"
+    assert decoded
+    warm_from = [
+        at for at, r in enumerate(served) if r["kind"] == "query.begin"
+    ][len(queries)]
+    assert not any(heap_access(record) for record in served[warm_from:])
 
 
 def test_measure_mode_over_the_wire(index, workload, expected):
