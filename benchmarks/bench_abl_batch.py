@@ -41,7 +41,6 @@ import time
 from pathlib import Path
 
 from repro.bench.experiments import ExperimentScale, _inverted, _workload
-from repro.core.kernels import kernel_mode
 from repro.exec import BatchExecutor, ExecContext
 
 _SCALES = {
@@ -189,7 +188,7 @@ def main(argv=None):
     qpp = -(-args.queries // points)  # ceil division
     total_queries = points * qpp
     print(
-        f"scale={args.scale} kernel={kernel_mode()} "
+        f"scale={args.scale} "
         f"queries={total_queries} ({points} points x {qpp}) "
         f"batch_sizes={batch_sizes}"
     )
@@ -252,7 +251,6 @@ def main(argv=None):
     payload = {
         "config": {
             "scale": args.scale,
-            "kernel": kernel_mode(),
             "strategy": STRATEGY,
             "pool_size": scale.pool_size,
             "datasets": list(DATASETS),

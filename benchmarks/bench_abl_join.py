@@ -48,7 +48,6 @@ from pathlib import Path
 from repro.bench import ablation_join
 from repro.bench.experiments import ExperimentScale, _dataset, _inverted
 from repro.core.joins import BoundedPairHeap, JoinPair
-from repro.core.kernels import kernel_mode
 from repro.core.queries import EqualityThresholdQuery, EqualityTopKQuery
 from repro.core.relation import UncertainRelation
 from repro.exec import BlockJoinExecutor, ExecContext
@@ -230,7 +229,7 @@ def main(argv=None):
     points = [("petj", threshold) for threshold in THRESHOLDS]
     points.append(("pej_top_k", args.top_k))
     print(
-        f"scale={args.scale} kernel={kernel_mode()} outer={sample} "
+        f"scale={args.scale} outer={sample} "
         f"points={len(points)} block_sizes={block_sizes}"
     )
 
@@ -276,7 +275,6 @@ def main(argv=None):
     payload = {
         "config": {
             "scale": args.scale,
-            "kernel": kernel_mode(),
             "strategy": STRATEGY,
             "pool_size": scale.pool_size,
             "outer_tuples": sample,

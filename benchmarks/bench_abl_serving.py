@@ -49,7 +49,6 @@ import time
 from pathlib import Path
 
 from repro.bench.experiments import ExperimentScale, _inverted, _workload
-from repro.core.kernels import kernel_mode
 from repro.exec import ExecContext, ServingExecutor
 from repro.obs.trace import tracing_to_path
 
@@ -216,7 +215,7 @@ def main(argv=None):
     points = len(DATASETS) * len(KINDS) * len(scale.selectivities)
     qpp = -(-args.queries // points)
     print(
-        f"scale={args.scale} kernel={kernel_mode()} "
+        f"scale={args.scale} "
         f"queries={points * qpp} ({points} points x {qpp})"
     )
 
@@ -264,7 +263,6 @@ def main(argv=None):
     payload = {
         "config": {
             "scale": args.scale,
-            "kernel": kernel_mode(),
             "strategy": STRATEGY,
             "pool_size": scale.pool_size,
             "datasets": list(DATASETS),

@@ -66,7 +66,6 @@ from pathlib import Path
 
 from repro.bench.experiments import ExperimentScale, _dataset, _workload
 from repro.bench.harness import IndexUnderTest, measure_query
-from repro.core.kernels import kernel_mode
 from repro.exec import ExecContext
 from repro.invindex.index import ProbabilisticInvertedIndex
 from repro.obs.trace import tracing_to_path
@@ -400,7 +399,7 @@ def main(argv=None):
 
     scale = ExperimentScale.quick()
     print(
-        f"kernel={kernel_mode()} tuples={args.tuples} "
+        f"tuples={args.tuples} "
         f"shards={sorted(set(args.shards))} "
         f"queries_per_point={args.queries_per_point}"
     )
@@ -423,7 +422,6 @@ def main(argv=None):
 
     payload = {
         "config": {
-            "kernel": kernel_mode(),
             "datasets": list(DATASETS),
             "strategies": list(STRATEGIES),
             "tuples": args.tuples,

@@ -61,7 +61,6 @@ import numpy as np
 
 from repro.bench.harness import IndexUnderTest, measure_query
 from repro.core.domain import CategoricalDomain
-from repro.core.kernels import kernel_mode
 from repro.core.relation import UncertainRelation
 from repro.core.queries import SimilarityThresholdQuery, SimilarityTopKQuery
 from repro.core.uda import UncertainAttribute
@@ -386,7 +385,7 @@ def main(argv=None):
 
     pool_size = 100  # the paper's measurement pool
     print(
-        f"kernel={kernel_mode()} tuples={args.tuples} "
+        f"tuples={args.tuples} "
         f"queries_per_point={args.queries_per_point} "
         f"bands={sorted(set(args.bands))}"
     )
@@ -421,7 +420,6 @@ def main(argv=None):
 
     payload = {
         "config": {
-            "kernel": kernel_mode(),
             "tuples": args.tuples,
             "queries_per_point": args.queries_per_point,
             "divergences": list(DIVERGENCES),

@@ -45,7 +45,6 @@ import time
 from pathlib import Path
 
 from repro.bench.experiments import ExperimentScale, _dataset, _workload
-from repro.core.kernels import kernel_mode
 from repro.exec import ExecContext, ServingExecutor
 from repro.invindex import ProbabilisticInvertedIndex
 from repro.obs.trace import tracing_to_path
@@ -240,7 +239,7 @@ def main(argv=None):
     qpp = -(-args.queries // points)
     os.environ["REPRO_SEGMENT_TUPLES"] = str(args.segment_tuples)
     print(
-        f"scale={args.scale} kernel={kernel_mode()} "
+        f"scale={args.scale} "
         f"queries={points * qpp} ({points} points x {qpp}) "
         f"churn={args.churn} segment_tuples={args.segment_tuples}"
     )
@@ -276,7 +275,6 @@ def main(argv=None):
     payload = {
         "config": {
             "scale": args.scale,
-            "kernel": kernel_mode(),
             "strategy": STRATEGY,
             "pool_size": scale.pool_size,
             "datasets": list(DATASETS),

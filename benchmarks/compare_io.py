@@ -42,8 +42,9 @@ def _io_view(payload: dict) -> dict:
 #: BENCH_summary.json keys that identify the execution protocol.  Reads
 #: are only comparable between runs with the same protocol: a batched run
 #: (batch > 1) or a block join run (join_block > 1) legally reads fewer
-#: pages, and kernel mode is recorded so a hypothetical divergence can
-#: be attributed.  ``mode`` separates measurement-protocol runs
+#: pages.  Older summaries also carry a ``kernel`` key from when a
+#: second kernel existed; it is ignored like any other key outside this
+#: tuple.  ``mode`` separates measurement-protocol runs
 #: ("measure", the only mode goldens are recorded under) from
 #: serving-mode runs, whose reads depend on arrival history and are
 #: never golden-comparable (docs/serving.md).  ``backend`` names the
@@ -65,8 +66,8 @@ def _io_view(payload: dict) -> dict:
 #: so reads are only comparable within one mode and a cross-mode diff
 #: is refused.
 PROTOCOL_KEYS = (
-    "kernel", "batch", "join_block", "mode", "backend", "shards",
-    "transport", "sketch",
+    "batch", "join_block", "mode", "backend", "shards", "transport",
+    "sketch",
 )
 
 

@@ -133,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"scale: crm={scale.crm_tuples} synth={scale.synth_tuples} "
         f"qpp={scale.queries_per_point}  jobs={jobs}  "
-        f"kernel={ctx.kernel}  batch={ctx.batch}  "
+        f"batch={ctx.batch}  "
         f"join_block={ctx.join_block}  backend={ctx.backend.name}"
     )
 
@@ -142,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     metrics = MetricsRegistry()
     started = time.perf_counter()
-    # kernel + batch + join_block + mode + backend identify the
+    # batch + join_block + mode + backend + sketch identify the
     # execution protocol; compare_io refuses to diff result dirs whose
     # protocols conflict (batch or join_block > 1 legally lowers reads,
     # so cross-protocol diffs are apples to oranges; a non-simulated

@@ -1,7 +1,7 @@
 """Shared parsing and precedence for ``REPRO_*`` environment knobs.
 
-Every execution knob in the repository — ``REPRO_KERNEL``,
-``REPRO_BATCH``, ``REPRO_JOIN_BLOCK``, ``REPRO_SKETCH``,
+Every execution knob in the repository — ``REPRO_BATCH``,
+``REPRO_JOIN_BLOCK``, ``REPRO_SKETCH``,
 ``REPRO_BACKEND``, the ``REPRO_FAULT_*`` and ``REPRO_SERVE_*`` families,
 ``REPRO_JOBS``, ``REPRO_DECODED_CACHE`` — funnels through the readers
 here, so a malformed value always fails the same way: a
@@ -17,7 +17,7 @@ unset" — the caller then applies its own computed default.
 
 :class:`Knob` is the one implementation of the precedence every
 *ambient* setting follows — explicit argument > scoped override >
-environment > default.  The six settings that change how a probe
+environment > default.  The five settings that change how a probe
 executes each declare one instance in the module that owns them and
 bind their public names to its methods; ``docs/architecture.md``
 ("Configuration") lists them.

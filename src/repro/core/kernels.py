@@ -1,9 +1,9 @@
-"""Vectorized scoring kernels (and the scalar/vectorized mode switch).
+"""Vectorized scoring kernels.
 
 The search strategies decode posting pages into NumPy arrays, but the
 seed implementation immediately fell back to per-posting Python loops
 (``tids.tolist()``).  This module provides block-wise replacements that
-are *bit-identical* to the scalar bookkeeping they replace:
+are *bit-identical* to that per-posting bookkeeping:
 
 * :func:`exact_scores` — grouped score accumulation.  Scores everywhere
   in the library are correctly rounded sums (``math.fsum``) of the
@@ -20,18 +20,16 @@ are *bit-identical* to the scalar bookkeeping they replace:
   order determines random-access order and therefore counted page
   reads).
 * :func:`masked_lacks` — per-candidate NRA "lack" bounds via a
-  per-unique-bitmask ``fsum`` lookup table, exactly matching the scalar
+  per-unique-mask ``fsum`` lookup table, exactly matching a
   per-candidate ``fsum``.
 * :class:`CandidatePool` — insertion-ordered NRA candidate store with
-  vectorized run updates (bitmask bookkeeping, tombstones).
+  vectorized run updates (multi-word list masks, tombstones).
 * :func:`kth_largest` / :func:`top_k_matches` — selection without
   arithmetic (``np.partition``), so thresholds and tie-breaks are the
-  exact values the scalar ``sorted(...)`` code would produce.
+  exact values a ``sorted(...)`` list would produce.
 
-The ``REPRO_KERNEL`` environment variable selects the implementation
-(``vectorized`` is the default; ``scalar`` keeps the seed code paths
-alive for the differential test suite), and :func:`kernel_override`
-scopes a choice to a block of code.
+These are the only implementation; the seed's per-posting loops are
+kept as the reference in ``tests/invindex/reference.py``.
 """
 
 from __future__ import annotations
@@ -40,30 +38,15 @@ import math
 
 import numpy as np
 
-from repro.core.config import choice_knob
 
-#: Environment variable selecting the kernel implementation.
-KERNEL_ENV = "REPRO_KERNEL"
+def kernel_mode() -> str:
+    """The kernel implementation in use: always ``"vectorized"``.
 
-#: Recognized kernel modes.
-KERNEL_MODES = ("vectorized", "scalar")
-
-#: The kernel knob: :func:`kernel_override` > ``REPRO_KERNEL`` >
-#: vectorized (see :class:`repro.core.config.Knob`).
-KERNEL = choice_knob(
-    KERNEL_ENV,
-    "kernel mode",
-    choices=KERNEL_MODES,
-    special={"default": "vectorized", "on": "vectorized"},
-    default="vectorized",
-)
-kernel_mode = KERNEL.resolve
-kernel_override = KERNEL.override
-
-
-def vectorized() -> bool:
-    """Whether the vectorized kernels are active."""
-    return kernel_mode() == "vectorized"
+    Reads no environment.  It survives only because
+    ``benchmarks/e2e/server.py`` imports it and the e2e smoke check
+    requires a ``kernel`` protocol key; drop it together with that key.
+    """
+    return "vectorized"
 
 
 # ---------------------------------------------------------------------------
@@ -75,8 +58,8 @@ def exact_scores(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Group per-list products by tid and sum each group with ``fsum``.
 
-    Returns ``(unique_tids_ascending, scores)``.  Bit-identical to the
-    scalar ``dict`` accumulation because ``math.fsum`` is correctly
+    Returns ``(unique_tids_ascending, scores)``.  Bit-identical to a
+    per-tid ``dict`` accumulation because ``math.fsum`` is correctly
     rounded (order-independent) and a one-element ``fsum`` returns its
     argument unchanged — so tids contributed by a single list (the
     common case) take a direct-assignment fast path.
@@ -216,41 +199,58 @@ def gather_rows(starts: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.nd
 # NRA bookkeeping
 # ---------------------------------------------------------------------------
 
+#: One word of a :class:`CandidatePool` list mask.  Little-endian on
+#: every host, so a mask row's bytes read as one little-endian integer
+#: are the bitmask of the lists the candidate was seen in.
+MASK_WORD = np.dtype("<u8")
+
+
 def masked_lacks(masks: np.ndarray, terms: list[float]) -> np.ndarray:
     """Per-candidate "lack" bounds: ``fsum(terms[j] for j not in mask)``.
 
-    Candidates sharing a bitmask share a lack value, so the ``fsum`` is
-    evaluated once per *unique* mask (a handful per resolve pass) and
-    scattered back — exactly the scalar per-candidate sum.
+    ``masks`` holds one :class:`CandidatePool` mask row per candidate.
+    Candidates sharing a mask row share a lack value, so the ``fsum`` is
+    evaluated once per *distinct* row and scattered back — exactly the
+    per-candidate sum.
     """
     if len(masks) == 0:
         return np.empty(0, dtype=np.float64)
-    unique, inverse = np.unique(masks, return_inverse=True)
+    # Number the distinct rows one word at a time: renumbering the pairs
+    # (number so far, next word) keeps every sort one-dimensional and
+    # every number below the row count.
+    words = iter(masks.T)
+    _, group = np.unique(next(words), return_inverse=True)
+    for word in words:
+        _, word = np.unique(word, return_inverse=True)
+        _, group = np.unique(group * len(masks) + word, return_inverse=True)
+    member = np.empty(int(group.max()) + 1, dtype=np.int64)
+    member[group] = np.arange(len(masks))
+    rows = masks[member].tobytes()
+    width = masks.shape[1] * MASK_WORD.itemsize
     num_lists = len(terms)
-    table = np.empty(len(unique), dtype=np.float64)
-    for u, mask in enumerate(unique.tolist()):
+    table = np.empty(len(member), dtype=np.float64)
+    for u in range(len(member)):
+        mask = int.from_bytes(rows[u * width : (u + 1) * width], "little")
         table[u] = math.fsum(
             terms[j] for j in range(num_lists) if not mask >> j & 1
         )
-    return table[inverse]
+    return table[group]
 
 
 class CandidatePool:
     """Insertion-ordered NRA candidate store with vectorized run updates.
 
-    Mirrors the scalar dict bookkeeping of ``NoRandomAccess`` exactly:
-    candidates keep their admission order (the verification-pass order),
+    Candidates keep their admission order (the verification-pass order),
     a discarded candidate is a tombstone that never revives, and within
     one run the first occurrence of a tid wins.  Requires tids unique
     within each run for the fancy-indexed ``+=`` (guaranteed by the
     in-order dedup applied here).
 
-    Masks are held as int64 bitmasks, so at most 62 lists are supported;
-    callers fall back to the scalar path beyond that.
+    ``masks`` records which lists each candidate was seen in: one row
+    of ``ceil(num_lists / 64)`` :data:`MASK_WORD` words per candidate,
+    list ``j`` being bit ``j % 64`` of word ``j // 64``, so a query may
+    span any number of lists.
     """
-
-    #: Highest list index representable in the int64 bitmask.
-    MAX_LISTS = 62
 
     __slots__ = (
         "tids",
@@ -262,10 +262,10 @@ class CandidatePool:
         "_sorted_slots",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, num_lists: int) -> None:
         self.tids = np.empty(0, dtype=np.int64)
         self.partial = np.empty(0, dtype=np.float64)
-        self.masks = np.empty(0, dtype=np.int64)
+        self.masks = np.empty((0, -(-num_lists // 64)), dtype=MASK_WORD)
         self.alive = np.empty(0, dtype=np.bool_)
         self.confirmed = np.empty(0, dtype=np.bool_)
         self._sorted_tids = np.empty(0, dtype=np.int64)
@@ -286,8 +286,8 @@ class CandidatePool:
     ) -> None:
         """Fold one posting run from list ``j`` into the pool.
 
-        ``admit`` mirrors the scalar ``discovering`` flag: when false,
-        never-seen tids are ignored (they can no longer qualify).
+        ``admit`` is NRA's ``discovering`` flag: when false, never-seen
+        tids are ignored (they can no longer qualify).
         """
         if len(run_tids) == 0:
             return
@@ -297,7 +297,8 @@ class CandidatePool:
             run_tids = run_tids[keep]
             run_probs = run_probs[keep]
         products = q_prob * run_probs
-        bit = np.int64(1) << np.int64(j)
+        word, bit = divmod(j, 64)
+        bit = MASK_WORD.type(1) << MASK_WORD.type(bit)
         if len(self._sorted_tids):
             positions = np.minimum(
                 np.searchsorted(self._sorted_tids, run_tids),
@@ -305,10 +306,10 @@ class CandidatePool:
             )
             found = self._sorted_tids[positions] == run_tids
             slots = self._sorted_slots[positions[found]]
-            update = self.alive[slots] & ((self.masks[slots] & bit) == 0)
+            update = self.alive[slots] & ((self.masks[slots, word] & bit) == 0)
             hit = slots[update]
             self.partial[hit] += products[found][update]
-            self.masks[hit] |= bit
+            self.masks[hit, word] |= bit
         else:
             found = np.zeros(len(run_tids), dtype=np.bool_)
         if not admit:
@@ -319,9 +320,9 @@ class CandidatePool:
         base = len(self.tids)
         self.tids = np.concatenate([self.tids, fresh])
         self.partial = np.concatenate([self.partial, products[~found]])
-        self.masks = np.concatenate(
-            [self.masks, np.full(len(fresh), bit, dtype=np.int64)]
-        )
+        fresh_masks = np.zeros((len(fresh), self.masks.shape[1]), dtype=MASK_WORD)
+        fresh_masks[:, word] = bit
+        self.masks = np.concatenate([self.masks, fresh_masks])
         self.alive = np.concatenate(
             [self.alive, np.ones(len(fresh), dtype=np.bool_)]
         )

@@ -36,9 +36,10 @@ def sparse_dot_fsum(
 ) -> float:
     """Canonical sparse dot product: correctly rounded, order-independent.
 
-    Both item arrays must be strictly ascending.  This single function
-    computes every probabilistic score in the library, which is what
-    makes naive and indexed executors agree bit-for-bit.
+    Both item arrays must be strictly ascending.  This function defines
+    every probabilistic score in the library: the dense scorer every
+    executor scores through is bit-identical to it, which is what makes
+    naive and indexed executors agree bit-for-bit.
     """
     if len(left_items) == 0 or len(right_items) == 0:
         return 0.0
@@ -123,20 +124,17 @@ class _SparseScoring:
 
     The implementation :class:`QueryVector` and
     :class:`UncertainAttribute` share (both expose ``items`` / ``probs``
-    / ``nnz`` and a ``_scorer`` slot).  The vectorized kernel mode
-    scores through a cached :class:`_DenseScorer`, built on first use so
-    only the query side of repeated scoring pays for it; the scalar
-    mode keeps the intersection-based seed path.  The mode is consulted
-    until a scorer exists — one built under the vectorized mode keeps
-    serving if the mode later flips mid-object, which is safe because
-    both paths are bit-identical.
+    / ``nnz`` and a ``_scorer`` slot).  Scores go through a cached
+    :class:`_DenseScorer`, built on first use so only the query side of
+    repeated scoring pays for it; an empty query has no table and scores
+    zero against everything.
     """
 
     __slots__ = ()
 
     def _dense_scorer(self) -> _DenseScorer | None:
         scorer = self._scorer
-        if scorer is None and self.nnz and kernels.vectorized():
+        if scorer is None and self.nnz:
             scorer = self._scorer = _DenseScorer(self.items, self.probs)
         return scorer
 
@@ -152,7 +150,7 @@ class _SparseScoring:
         if scorer is None:
             scorer = self._dense_scorer()
             if scorer is None:
-                return sparse_dot_fsum(self.items, self.probs, items, probs)
+                return 0.0
         return scorer.score(items, probs)
 
     def equality_with_block(
@@ -171,17 +169,9 @@ class _SparseScoring:
         to the per-tuple call.
         """
         scorer = self._dense_scorer()
-        if scorer is not None:
-            return scorer.score_block(items, probs, starts, lens)
-        return np.array(
-            [
-                sparse_dot_fsum(
-                    self.items, self.probs, items[a : a + n], probs[a : a + n]
-                )
-                for a, n in zip(starts.tolist(), lens.tolist())
-            ],
-            dtype=np.float64,
-        )
+        if scorer is None:
+            return np.zeros(len(lens))
+        return scorer.score_block(items, probs, starts, lens)
 
 
 class QueryVector(_SparseScoring):

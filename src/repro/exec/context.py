@@ -1,8 +1,8 @@
 """The ambient execution settings as one value that ships to workers.
 
-Six settings change how a probe executes without being arguments of the
-probe: the kernel mode, the batch size, the join block size, the sketch
-mode, the storage backend and the fault plan.  Each is one
+Five settings change how a probe executes without being arguments of
+the probe: the batch size, the join block size, the sketch mode, the
+storage backend and the fault plan.  Each is one
 :class:`~repro.core.config.Knob` in the module that owns it
 (``docs/architecture.md``, "Configuration").  A worker process inherits
 neither the parent's scoped overrides nor — under the ``spawn`` start
@@ -11,7 +11,7 @@ method — anything but its environment, so every worker entry point
 :func:`repro.exec.join._run_join_chunk`, the
 :class:`~repro.shard.transport.ProcessTransport` workers) takes one
 :class:`ExecContext`, captured in the parent, and runs inside
-:meth:`ExecContext.scope`: all six by value, never via environment
+:meth:`ExecContext.scope`: all five by value, never via environment
 re-reads.
 """
 
@@ -21,7 +21,6 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.core.kernels import KERNEL
 from repro.exec.batch import BATCH
 from repro.exec.join import JOIN_BLOCK
 from repro.sketch.config import SKETCH
@@ -30,7 +29,6 @@ from repro.storage.faults import FAULT_PLAN, FaultPlan
 
 #: The knob behind each :class:`ExecContext` field.
 _KNOBS = {
-    "kernel": KERNEL,
     "batch": BATCH,
     "join_block": JOIN_BLOCK,
     "sketch": SKETCH,
@@ -41,9 +39,8 @@ _KNOBS = {
 
 @dataclass(frozen=True)
 class ExecContext:
-    """The six resolved ambient settings; frozen and picklable."""
+    """The five resolved ambient settings; frozen and picklable."""
 
-    kernel: str
     batch: int
     join_block: int
     sketch: str
@@ -68,7 +65,7 @@ class ExecContext:
 
     @contextmanager
     def scope(self) -> Iterator[None]:
-        """Install all six values as overrides for a block."""
+        """Install all five values as overrides for a block."""
         with ExitStack() as stack:
             for name, knob in _KNOBS.items():
                 stack.enter_context(knob.override(getattr(self, name)))
@@ -84,7 +81,6 @@ class ExecContext:
         caller's to add.
         """
         return {
-            "kernel": self.kernel,
             "batch": self.batch,
             "join_block": self.join_block,
             "backend": self.backend.name,

@@ -47,7 +47,6 @@ only the parent's ``join.begin`` / ``join.end`` bracket survives.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 
@@ -503,22 +502,10 @@ class BlockJoinExecutor:
                 row_runs.append(row)
                 tid_runs.append(tids)
                 weighted_runs.append(q_prob * probs)
-        if kernels.vectorized():
-            rows, right_tids, scores = kernels.block_scores(
-                row_runs, tid_runs, weighted_runs
-            )
-            triples = zip(
-                rows.tolist(), right_tids.tolist(), scores.tolist()
-            )
-        else:
-            acc: dict[tuple[int, int], list[float]] = {}
-            for row, tids, weighted in zip(row_runs, tid_runs, weighted_runs):
-                for tid, product in zip(tids.tolist(), weighted.tolist()):
-                    acc.setdefault((row, tid), []).append(product)
-            triples = (
-                (row, tid, math.fsum(products))
-                for (row, tid), products in sorted(acc.items())
-            )
+        rows, right_tids, scores = kernels.block_scores(
+            row_runs, tid_runs, weighted_runs
+        )
+        triples = zip(rows.tolist(), right_tids.tolist(), scores.tolist())
         pairs: list[JoinPair] = []
         scored = 0
         for row, right_tid, score in triples:

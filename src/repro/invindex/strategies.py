@@ -43,11 +43,12 @@ extra candidates, never drop a qualifying one.
 Kernels
 -------
 The per-posting bookkeeping (score accumulation, seen-set dedup, NRA
-lack bounds) runs block-wise over whole decoded leaf runs through
-:mod:`repro.core.kernels`.  ``REPRO_KERNEL=scalar`` selects the original
-per-posting loops; both modes return bit-identical answers, stats, stop
-reasons, and counted page reads (enforced by the differential suite in
-``tests/invindex/test_kernel_differential.py``).
+lack bounds) and candidate verification run block-wise over whole
+decoded leaf runs through :mod:`repro.core.kernels`.  The seed's
+per-posting loops live on as the reference in
+``tests/invindex/reference.py``; the differential suite
+(``tests/invindex/test_kernel_differential.py``) holds both to
+bit-identical answers, stats, stop reasons and counted page reads.
 """
 
 from __future__ import annotations
@@ -110,40 +111,6 @@ def _stop(stats: QueryStats, strategy: str, reason: str, **fields) -> None:
         tracer.event("strategy.stop", strategy=strategy, reason=reason, **fields)
 
 
-def _scalar_novel(seen: set[int], tids: np.ndarray) -> list[int]:
-    """The original per-posting dedup loop (``REPRO_KERNEL=scalar``)."""
-    novel = []
-    for tid in tids.tolist():
-        if tid in seen:
-            continue
-        seen.add(tid)
-        novel.append(tid)
-    return novel
-
-
-class _NovelFilter:
-    """First-encounter tid filter, kernel-mode dispatched.
-
-    Returns each run's never-seen tids in encounter order — the order
-    candidates get random-accessed, which the I/O counts depend on.
-    """
-
-    __slots__ = ("_seen", "_filter")
-
-    def __init__(self) -> None:
-        if kernels.vectorized():
-            self._seen = None
-            self._filter = kernels.SeenFilter()
-        else:
-            self._seen: set[int] = set()
-            self._filter = None
-
-    def admit(self, tids: np.ndarray) -> np.ndarray:
-        if self._filter is not None:
-            return self._filter.admit(tids)
-        return np.array(_scalar_novel(self._seen, tids), dtype=np.int64)
-
-
 def _matches(tids: np.ndarray, scores: np.ndarray, keep: np.ndarray) -> list[Match]:
     """:class:`Match` objects for the rows of a verified block under ``keep``."""
     return [
@@ -155,56 +122,37 @@ def _matches(tids: np.ndarray, scores: np.ndarray, keep: np.ndarray) -> list[Mat
 class _TopKFrontier:
     """The dynamic top-k frontier: found matches plus the k-th best score.
 
-    The seed code builds a :class:`Match` per positive candidate and
-    re-sorts the whole list after every consumed run just to read
-    ``found[k - 1].score``.  The scalar mode keeps exactly that; the
-    vectorized mode keeps the verified blocks as plain ``tids`` /
-    ``scores`` arrays, reads the k-th
-    largest with ``np.partition`` (the same float the sorted list holds
-    at ``[k - 1]`` — selection, no arithmetic), and materializes only
-    the k result matches via :func:`kernels.top_k_matches`, which
-    applies the identical ``(score desc, tid asc)`` ordering.
+    Verified blocks are kept as plain ``tids`` / ``scores`` arrays.  The
+    k-th largest is read with ``np.partition`` — the same float a sorted
+    :class:`Match` list holds at ``[k - 1]`` (selection, no arithmetic)
+    — and only the k result matches are materialized, via
+    :func:`kernels.top_k_matches`, which applies the canonical
+    ``(score desc, tid asc)`` ordering.
     """
 
-    __slots__ = ("_k", "_found", "_tids", "_scores", "_vectorized")
+    __slots__ = ("_k", "_tids", "_scores")
 
     def __init__(self, k: int) -> None:
         self._k = k
-        self._vectorized = kernels.vectorized()
-        self._found: list[Match] = []
         self._tids = np.empty(0, dtype=np.int64)
         self._scores = np.empty(0, dtype=np.float64)
 
     def __len__(self) -> int:
-        if self._vectorized:
-            return len(self._tids)
-        return len(self._found)
+        return len(self._tids)
 
     def add(self, tids: np.ndarray, scores: np.ndarray) -> None:
         """Admit a verified block's strictly positive candidates."""
         keep = scores > 0.0
-        if self._vectorized:
-            self._tids = np.concatenate([self._tids, tids[keep]])
-            self._scores = np.concatenate([self._scores, scores[keep]])
-        else:
-            self._found.extend(_matches(tids, scores, keep))
-
-    def round_done(self) -> None:
-        """Called where the seed code re-sorted after a consumed run."""
-        if not self._vectorized:
-            self._found.sort()
+        self._tids = np.concatenate([self._tids, tids[keep]])
+        self._scores = np.concatenate([self._scores, scores[keep]])
 
     def tau_k(self) -> float:
         """The k-th best exact score so far (0.0 until k are found)."""
         if len(self) < self._k:
             return 0.0
-        if self._vectorized:
-            return kernels.kth_largest(self._scores, self._k)
-        return self._found[self._k - 1].score
+        return kernels.kth_largest(self._scores, self._k)
 
     def results(self) -> list[Match]:
-        if not self._vectorized:
-            return self._found[: self._k]
         pick = kernels.top_k_matches(self._tids, self._scores, self._k)
         return _matches(self._tids, self._scores, pick)
 
@@ -213,8 +161,8 @@ class _Verifier:
     """Random-access verification: exact scores for first-seen candidates.
 
     Every caller passes tids it has not verified before (first-seen
-    filters, NRA survivors, dict keys), so nothing is memoized per
-    query; decoded tuples are memoized by the index's active
+    filters, NRA survivors), so nothing is memoized per query; decoded
+    tuples are memoized by the index's active
     :meth:`~ProbabilisticInvertedIndex.shared_scan` scope, if any.
     """
 
@@ -227,32 +175,15 @@ class _Verifier:
         self._index = index
         self._q = q
         self._stats = stats
-        # The block path needs the vectorized scorer and an index that
-        # offers block random access (test doubles may not).
-        self._fetch_block = (
-            getattr(index, "fetch_uda_block", None) if kernels.vectorized() else None
-        )
-
-    def score(self, tid: int) -> float:
-        """Exact ``Pr(q = tid)`` via one random access."""
-        self._stats.random_accesses += 1
-        self._stats.candidates_examined += 1
-        METRICS.inc("verify.random_access")
-        tracer = _trace.ACTIVE
-        if tracer is not None:
-            tracer.event("verify.random_access", tid=tid)
-        items, probs = self._index.fetch_uda_arrays(tid)
-        return self._q.equality_with_arrays(items, probs)
 
     def score_many(self, tids: np.ndarray) -> np.ndarray:
-        """:meth:`score` for a run of distinct candidates, as one array.
+        """Exact ``Pr(q = tid)`` for a run of distinct candidates.
 
-        Same scores, counter totals and trace records as a per-tid
-        :meth:`score` loop, and the tuple list is accessed in the same
-        (run) order.  Under the vectorized kernel the run is fetched and
-        scored as one block: untraced, nothing runs per tid; traced, the
-        only per-tid work is the ``verify.random_access`` record, still
-        emitted before that tid's page access.
+        Each tid counts one random access.  The run is fetched and
+        scored as one block, accessing the tuple list in run order:
+        untraced, nothing runs per tid; traced, the only per-tid work is
+        the ``verify.random_access`` record, emitted before that tid's
+        page access.
         """
         count = len(tids)
         if count == 0:
@@ -261,20 +192,12 @@ class _Verifier:
         self._stats.candidates_examined += count
         METRICS.inc("verify.random_access", count)
         tracer = _trace.ACTIVE
-        if self._fetch_block is not None:
-            announce = None
-            if tracer is not None:
-                def announce(tid):
-                    tracer.event("verify.random_access", tid=tid)
-            return self._q.equality_with_block(*self._fetch_block(tids, announce))
-        fetch = self._index.fetch_uda_arrays
-        equality = self._q.equality_with_arrays
-        scores = np.empty(count, dtype=np.float64)
-        for position, tid in enumerate(tids.tolist()):
-            if tracer is not None:
+        announce = None
+        if tracer is not None:
+            def announce(tid):
                 tracer.event("verify.random_access", tid=tid)
-            scores[position] = equality(*fetch(tid))
-        return scores
+        block = self._index.fetch_uda_block(tids, announce)
+        return self._q.equality_with_block(*block)
 
 
 class _CursorSet:
@@ -405,13 +328,12 @@ class InvIndexSearch(SearchStrategy):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Exact scores for every tuple sharing an item with ``q``.
 
-        Returns ``(tids, scores)`` with tids ascending.  The vectorized
-        path accumulates whole decoded runs (grouped ``fsum``, see
-        :func:`repro.core.kernels.exact_scores`); both paths produce the
-        same product multiset per tid, hence bit-identical scores.
+        Returns ``(tids, scores)`` with tids ascending.  Whole decoded
+        runs are accumulated at once (grouped ``fsum``, see
+        :func:`repro.core.kernels.exact_scores`): each tid's score sums
+        its own product multiset, hence is bit-identical to the naive
+        executor's.
         """
-        if not kernels.vectorized():
-            return self._gather_scalar(index, q, stats)
         tid_runs: list[np.ndarray] = []
         weighted_runs: list[np.ndarray] = []
         for item, q_prob in q.pairs():
@@ -426,30 +348,6 @@ class InvIndexSearch(SearchStrategy):
         tids, scores = kernels.exact_scores(tid_runs, weighted_runs)
         stats.candidates_examined += len(tids)
         return tids, scores
-
-    def _gather_scalar(
-        self, index: ProbabilisticInvertedIndex, q: UncertainAttribute, stats: QueryStats
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The original per-posting accumulation (``REPRO_KERNEL=scalar``)."""
-        contributions: dict[int, list[float]] = {}
-        for item, q_prob in q.pairs():
-            posting_list = index.posting_list(item)
-            if posting_list is None:
-                continue
-            stats.nodes_visited += 1
-            tids, probs = posting_list.read_all()
-            stats.entries_scanned += len(tids)
-            for tid, prob in zip(tids.tolist(), probs.tolist()):
-                contributions.setdefault(tid, []).append(q_prob * prob)
-        stats.candidates_examined += len(contributions)
-        tids = np.fromiter(contributions, dtype=np.int64, count=len(contributions))
-        order = np.argsort(tids)
-        scores = np.array(
-            [math.fsum(products) for products in contributions.values()]
-        )
-        if len(tids) == 0:
-            scores = np.empty(0, dtype=np.float64)
-        return tids[order], scores[order]
 
     def threshold(self, index, q, tau):
         stats = QueryStats()
@@ -494,7 +392,7 @@ class HighestProbFirst(SearchStrategy):
         cursors = _CursorSet(index, q)
         stats.nodes_visited += len(cursors)
         matches: list[Match] = []
-        novel = _NovelFilter()
+        novel = kernels.SeenFilter()
         while True:
             bound = cursors.bound()
             if bound < tau - EPSILON:
@@ -521,7 +419,7 @@ class HighestProbFirst(SearchStrategy):
         cursors = _CursorSet(index, q)
         stats.nodes_visited += len(cursors)
         found = _TopKFrontier(k)
-        novel = _NovelFilter()
+        novel = kernels.SeenFilter()
         while True:
             # Dynamic threshold: the k-th best exact score so far,
             # elevated to tau_floor when the rank-join caller supplied
@@ -543,7 +441,6 @@ class HighestProbFirst(SearchStrategy):
             stats.entries_scanned += len(tids)
             novel_tids = novel.admit(tids)
             found.add(novel_tids, verifier.score_many(novel_tids))
-            found.round_done()
         return QueryResult(found.results(), stats)
 
 
@@ -568,7 +465,7 @@ class RowPruning(SearchStrategy):
         verifier = _Verifier(index, q, stats)
         cutoff = tau / _MASS_BOUND - EPSILON
         matches: list[Match] = []
-        novel = _NovelFilter()
+        novel = kernels.SeenFilter()
         for item, q_prob in q.pairs_by_probability():
             if q_prob < cutoff:
                 # Pairs are in descending q_prob order; no later list can
@@ -600,7 +497,7 @@ class RowPruning(SearchStrategy):
         _begin(self.name, "top_k", k=k, tau_floor=tau_floor)
         verifier = _Verifier(index, q, stats)
         found = _TopKFrontier(k)
-        novel = _NovelFilter()
+        novel = kernels.SeenFilter()
         for item, q_prob in q.pairs_by_probability():
             tau_k = found.tau_k()
             tau_eff = tau_k if tau_k > tau_floor else tau_floor
@@ -624,7 +521,6 @@ class RowPruning(SearchStrategy):
             stats.entries_scanned += len(tids)
             novel_tids = novel.admit(tids)
             found.add(novel_tids, verifier.score_many(novel_tids))
-            found.round_done()
         else:
             _stop(stats, self.name, "exhausted")
         return QueryResult(found.results(), stats)
@@ -650,7 +546,7 @@ class ColumnPruning(SearchStrategy):
         verifier = _Verifier(index, q, stats)
         cutoff = tau / max(q.total_mass, EPSILON) - EPSILON
         matches: list[Match] = []
-        novel = _NovelFilter()
+        novel = kernels.SeenFilter()
         for item, _ in q.pairs_by_probability():
             posting_list = index.posting_list(item)
             if posting_list is None:
@@ -677,7 +573,7 @@ class ColumnPruning(SearchStrategy):
         stats.nodes_visited += len(cursors)
         q_mass = max(q.total_mass, EPSILON)
         found = _TopKFrontier(k)
-        novel = _NovelFilter()
+        novel = kernels.SeenFilter()
         live = [not cursor.exhausted for cursor in cursors.cursors]
         while any(live):
             tau_k = found.tau_k()
@@ -705,7 +601,6 @@ class ColumnPruning(SearchStrategy):
                 advanced = True
                 novel_tids = novel.admit(run_tids[keep])
                 found.add(novel_tids, verifier.score_many(novel_tids))
-                found.round_done()
             if not advanced:
                 break
         if any(not cursor.exhausted for cursor in cursors.cursors):
@@ -756,16 +651,7 @@ class NoRandomAccess(SearchStrategy):
         verifier = _Verifier(index, q, stats)
         cursors = _CursorSet(index, q)
         stats.nodes_visited += len(cursors)
-        # The vectorized pool packs "which lists" into an int64 bitmask;
-        # wider queries take the scalar path (dict bookkeeping has no
-        # list-count limit).
-        if kernels.vectorized() and len(cursors) <= kernels.CandidatePool.MAX_LISTS:
-            return self._threshold_vec(tau, stats, verifier, cursors)
-        return self._threshold_scalar(tau, stats, verifier, cursors)
-
-    def _threshold_vec(self, tau, stats, verifier, cursors):
-        """Block-wise NRA: whole runs folded into a :class:`CandidatePool`."""
-        pool = kernels.CandidatePool()
+        pool = kernels.CandidatePool(len(cursors))
         discovering = True
         since_resolve = self.resolve_every  # force an initial pass
         while True:
@@ -815,90 +701,6 @@ class NoRandomAccess(SearchStrategy):
         scores = verifier.score_many(live)
         return QueryResult(_matches(live, scores, scores >= tau), stats)
 
-    def _threshold_scalar(self, tau, stats, verifier, cursors):
-        """The original per-posting NRA loop (``REPRO_KERNEL=scalar``)."""
-        num_lists = len(cursors)
-        partial: dict[int, float] = {}
-        seen_in: dict[int, int] = {}  # tid -> bitmask of consumed lists
-        confirmed: set[int] = set()
-        # Tombstones: tids proven unable to qualify.  Without these, a
-        # discarded tid reappearing in a not-yet-consumed list would be
-        # re-admitted with a fresh mask and reset partial score, then
-        # pointlessly random-accessed in the verification pass.
-        discarded: set[int] = set()
-        discovering = True
-        since_resolve = self.resolve_every  # force an initial pass
-        while True:
-            if since_resolve >= self.resolve_every:
-                since_resolve = 0
-                heads = [cursor.head_prob() for cursor in cursors.cursors]
-                unseen_bound = math.fsum(
-                    q_prob * head
-                    for q_prob, head in zip(cursors.q_probs, heads)
-                )
-                if discovering and unseen_bound < tau - EPSILON:
-                    discovering = False
-                # Resolve candidates whose bounds crossed the threshold.
-                resolved = []
-                for tid, mask in seen_in.items():
-                    if tid in confirmed:
-                        continue
-                    lack = math.fsum(
-                        cursors.q_probs[j] * heads[j]
-                        for j in range(num_lists)
-                        if not mask >> j & 1
-                    )
-                    if partial[tid] + lack < tau - EPSILON:
-                        resolved.append(tid)  # can never qualify
-                    elif partial[tid] >= tau + EPSILON:
-                        confirmed.add(tid)  # definitely qualifies
-                for tid in resolved:
-                    del seen_in[tid]
-                    del partial[tid]
-                    discarded.add(tid)
-                unresolved = len(seen_in) - len(confirmed)
-                METRICS.inc("nra.resolve")
-                tracer = _trace.ACTIVE
-                if tracer is not None:
-                    tracer.event(
-                        "nra.resolve",
-                        discarded=len(resolved),
-                        confirmed=len(confirmed),
-                        unresolved=unresolved,
-                    )
-                if not discovering and unresolved <= self.fallback:
-                    _stop(
-                        stats, self.name, "nra_fallback", unresolved=unresolved
-                    )
-                    break
-            j = cursors.most_promising()
-            if j is None:
-                _stop(stats, self.name, "exhausted")
-                break
-            run_tids, run_probs = cursors.pop_run(j)
-            stats.entries_scanned += len(run_tids)
-            since_resolve += len(run_tids)
-            bit = 1 << j
-            q_prob = cursors.q_probs[j]
-            for tid, prob in zip(run_tids.tolist(), run_probs.tolist()):
-                mask = seen_in.get(tid)
-                if mask is None:
-                    if not discovering or tid in discarded:
-                        continue  # new tuples / tombstones cannot qualify
-                    seen_in[tid] = bit
-                    partial[tid] = q_prob * prob
-                elif not mask & bit:
-                    seen_in[tid] = mask | bit
-                    partial[tid] += q_prob * prob
-        # Final verification pass: confirmed tuples need exact scores, the
-        # remaining unresolved candidates need a membership decision.
-        matches = []
-        for tid in seen_in:
-            score = verifier.score(tid)
-            if score >= tau:
-                matches.append(Match(tid=tid, score=score))
-        return QueryResult(matches, stats)
-
     def top_k(self, index, q, k, tau_floor=0.0):
         """Collect candidates without random access, then verify.
 
@@ -911,13 +713,7 @@ class NoRandomAccess(SearchStrategy):
         verifier = _Verifier(index, q, stats)
         cursors = _CursorSet(index, q)
         stats.nodes_visited += len(cursors)
-        if kernels.vectorized() and len(cursors) <= kernels.CandidatePool.MAX_LISTS:
-            return self._top_k_vec(k, stats, verifier, cursors, tau_floor)
-        return self._top_k_scalar(k, stats, verifier, cursors, tau_floor)
-
-    def _top_k_vec(self, k, stats, verifier, cursors, tau_floor=0.0):
-        """Block-wise candidate collection, then bounded verification."""
-        pool = kernels.CandidatePool()
+        pool = kernels.CandidatePool(len(cursors))
         since_check = self.resolve_every  # force an initial stop check
         while True:
             if since_check >= self.resolve_every:
@@ -970,77 +766,6 @@ class NoRandomAccess(SearchStrategy):
         survivors = pool.tids[keep]
         scores = verifier.score_many(survivors)
         found = _matches(survivors, scores, scores > 0.0)
-        found.sort()
-        return QueryResult(found[:k], stats)
-
-    def _top_k_scalar(self, k, stats, verifier, cursors, tau_floor=0.0):
-        """The original per-posting loop (``REPRO_KERNEL=scalar``)."""
-        num_lists = len(cursors)
-        partial: dict[int, float] = {}
-        seen_in: dict[int, int] = {}
-        since_check = self.resolve_every  # force an initial stop check
-        while True:
-            if since_check >= self.resolve_every:
-                since_check = 0
-                heads = [cursor.head_prob() for cursor in cursors.cursors]
-                unseen_bound = math.fsum(
-                    q_prob * head
-                    for q_prob, head in zip(cursors.q_probs, heads)
-                )
-                if len(partial) >= k or tau_floor > 0.0:
-                    tau_k = (
-                        sorted(partial.values(), reverse=True)[k - 1]
-                        if len(partial) >= k
-                        else 0.0
-                    )
-                    tau_eff = tau_k if tau_k > tau_floor else tau_floor
-                    if unseen_bound < tau_eff - EPSILON:
-                        _stop(
-                            stats,
-                            self.name,
-                            "lemma1",
-                            bound=unseen_bound,
-                            tau=tau_eff,
-                        )
-                        break
-            j = cursors.most_promising()
-            if j is None:
-                _stop(stats, self.name, "exhausted")
-                break
-            run_tids, run_probs = cursors.pop_run(j)
-            stats.entries_scanned += len(run_tids)
-            since_check += len(run_tids)
-            bit = 1 << j
-            q_prob = cursors.q_probs[j]
-            for tid, prob in zip(run_tids.tolist(), run_probs.tolist()):
-                mask = seen_in.get(tid)
-                if mask is None:
-                    seen_in[tid] = bit
-                    partial[tid] = q_prob * prob
-                elif not mask & bit:
-                    seen_in[tid] = mask | bit
-                    partial[tid] += q_prob * prob
-        if not partial:
-            return QueryResult([], stats)
-        tau_k = (
-            sorted(partial.values(), reverse=True)[k - 1]
-            if len(partial) >= k
-            else 0.0
-        )
-        tau_eff = tau_k if tau_k > tau_floor else tau_floor
-        heads = [cursor.head_prob() for cursor in cursors.cursors]
-        found = []
-        for tid, mask in seen_in.items():
-            lack = math.fsum(
-                cursors.q_probs[j] * heads[j]
-                for j in range(num_lists)
-                if not mask >> j & 1
-            )
-            if partial[tid] + lack < tau_eff - EPSILON:
-                continue  # upper bound cannot reach the k-th best
-            score = verifier.score(tid)
-            if score > 0.0:
-                found.append(Match(tid=tid, score=score))
         found.sort()
         return QueryResult(found[:k], stats)
 

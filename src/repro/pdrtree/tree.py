@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core import kernels
 from repro.core.exceptions import (
     KeyNotFoundError,
     QueryError,
@@ -864,10 +863,6 @@ class PDRTree:
                     if bound <= query.threshold + EPSILON:
                         stack.append(entry.child_id)
             else:
-                # Vectorized kernels score decoded entry arrays directly
-                # (same sparse divergence on the same floats; the UDA
-                # wrapper only re-validated already-valid pages).
-                direct = kernels.vectorized()
                 for entry in self._get_leaf(page_id):
                     if (
                         lb_of is not None
@@ -877,11 +872,7 @@ class PDRTree:
                     stats.candidates_examined += 1
                     if lb_of is not None:
                         emit_verify(entry.tid)
-                    if direct:
-                        dist = query.distance_arrays(entry.items, entry.probs)
-                    else:
-                        uda = UncertainAttribute(entry.items, entry.probs)
-                        dist = query.distance(uda)
+                    dist = query.distance_arrays(entry.items, entry.probs)
                     if dist <= query.threshold:
                         matches.append(Match(tid=entry.tid, score=-dist))
         return QueryResult(matches, stats)
@@ -948,7 +939,6 @@ class PDRTree:
                         break
                     visit(child_id)
             else:
-                direct = kernels.vectorized()
                 cut = sketch_cut() if lb_of is not None else math.inf
                 for entry in self._get_leaf(page_id):
                     if lb_of is not None:
@@ -956,12 +946,7 @@ class PDRTree:
                             continue
                         emit_verify(entry.tid)
                     stats.candidates_examined += 1
-                    if direct:
-                        dist = query.distance_arrays(entry.items, entry.probs)
-                    else:
-                        dist = query.distance(
-                            UncertainAttribute(entry.items, entry.probs)
-                        )
+                    dist = query.distance_arrays(entry.items, entry.probs)
                     found.append(Match(tid=entry.tid, score=-dist))
                 found.sort()
                 del found[max(k, 0) + 64 :]

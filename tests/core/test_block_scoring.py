@@ -7,7 +7,7 @@
   ``clip`` guard slot), query mass above one, and one row a hundred
   times wider than the rest.
 * :meth:`repro.core.kernels.SeenFilter.admit` returns exactly what the
-  scalar ``if tid in seen`` loop returns, over runs with within-run
+  reference ``if tid in seen`` loop returns, over runs with within-run
   duplicates, repeats across runs and empty runs.
 """
 
@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from repro.core import UncertainAttribute, kernels
 from repro.core.uda import QueryVector, sparse_dot_fsum
-from repro.invindex.strategies import _scalar_novel
+
+from tests.invindex.reference import first_seen
 
 #: Stored items range past every query's support on purpose.
 DOMAIN = 40
@@ -87,12 +88,10 @@ def pack(rows, rng):
     query=queries(),
     rows=st.lists(sparse_rows(max_width=12), min_size=0, max_size=30),
     seed=st.integers(0, 2**16),
-    mode=st.sampled_from(kernels.KERNEL_MODES),
 )
-def test_block_scores_bit_equal_to_sparse_dot_fsum(query, rows, seed, mode):
+def test_block_scores_bit_equal_to_sparse_dot_fsum(query, rows, seed):
     items, probs, starts, lens = pack(rows, np.random.default_rng(seed))
-    with kernels.kernel_override(mode):
-        scores = query.equality_with_block(items, probs, starts, lens)
+    scores = query.equality_with_block(items, probs, starts, lens)
     assert scores.dtype == np.float64 and scores.shape == (len(rows),)
     expected = [
         sparse_dot_fsum(query.items, query.probs, row_items, row_probs)
@@ -100,11 +99,10 @@ def test_block_scores_bit_equal_to_sparse_dot_fsum(query, rows, seed, mode):
     ]
     assert scores.tolist() == expected
     # And the per-tuple form agrees with both.
-    with kernels.kernel_override(mode):
-        assert [
-            query.equality_with_arrays(row_items, row_probs)
-            for row_items, row_probs in rows
-        ] == expected
+    assert [
+        query.equality_with_arrays(row_items, row_probs)
+        for row_items, row_probs in rows
+    ] == expected
 
 
 def test_repeated_and_overlapping_extents_score_independently():
@@ -182,5 +180,5 @@ def test_seen_filter_matches_the_scalar_loop(runs):
         tids = np.array(run, dtype=np.int64)
         admitted = vector.admit(tids)
         assert admitted.dtype == np.int64
-        assert admitted.tolist() == _scalar_novel(seen, tids)
+        assert admitted.tolist() == first_seen(seen, tids)
     assert vector._sorted.tolist() == sorted(seen)

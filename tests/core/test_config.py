@@ -21,7 +21,6 @@ from repro.core.config import (
     read_env_int,
 )
 from repro.exec import BATCH_ENV, JOIN_BLOCK_ENV, resolve_batch, resolve_join_block
-from repro.core.kernels import KERNEL_ENV, kernel_mode
 from repro.storage import BACKEND_ENV, BACKEND_PATH_ENV
 from repro.storage.faults import (
     FAULT_BIT_ROT_ENV,
@@ -234,14 +233,6 @@ class TestKnob:
             with knob.override("many"):
                 pass
         assert knob.resolve() == 4  # a refused override installs nothing
-
-
-class TestKernelKnob:
-    @pytest.mark.parametrize("raw", ["simd", "fast", "1"])
-    def test_bad_env_names_variable(self, monkeypatch, raw):
-        monkeypatch.setenv(KERNEL_ENV, raw)
-        with pytest.raises(ConfigError, match=KERNEL_ENV):
-            kernel_mode()
 
 
 class TestFaultKnobs:

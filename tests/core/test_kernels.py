@@ -11,42 +11,26 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import QueryError, UncertainAttribute
+from repro.core import UncertainAttribute
 from repro.core import kernels
 from repro.core.uda import QueryVector, sparse_dot_fsum
 
 
 class TestKernelMode:
-    def test_default_is_vectorized(self, monkeypatch):
-        monkeypatch.delenv(kernels.KERNEL_ENV, raising=False)
+    """One kernel ships; ``kernel_mode`` only names it, reading no env."""
+
+    def test_default_is_vectorized(self):
         assert kernels.kernel_mode() == "vectorized"
-        assert kernels.vectorized()
 
     @pytest.mark.parametrize("raw", ["", "default", "on", "vectorized"])
     def test_vectorized_spellings(self, monkeypatch, raw):
-        monkeypatch.setenv(kernels.KERNEL_ENV, raw)
+        monkeypatch.setenv("REPRO_KERNEL", raw)
         assert kernels.kernel_mode() == "vectorized"
 
     def test_scalar_env(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNEL_ENV, "scalar")
-        assert kernels.kernel_mode() == "scalar"
-        assert not kernels.vectorized()
-
-    def test_invalid_env_raises(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNEL_ENV, "simd")
-        with pytest.raises(QueryError):
-            kernels.kernel_mode()
-
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNEL_ENV, "scalar")
-        with kernels.kernel_override("vectorized"):
-            assert kernels.vectorized()
-        assert not kernels.vectorized()
-
-    def test_override_validates(self):
-        with pytest.raises(QueryError):
-            with kernels.kernel_override("simd"):
-                pass
+        """The retired ``REPRO_KERNEL=scalar`` switch selects nothing."""
+        monkeypatch.setenv("REPRO_KERNEL", "scalar")
+        assert kernels.kernel_mode() == "vectorized"
 
 
 def _scalar_exact_scores(tid_runs, weighted_runs):
@@ -106,17 +90,32 @@ class TestSeenFilter:
             assert admit.admit(run.astype(np.int64)).tolist() == expected
 
 
+def mask_rows(masks: list[int], num_lists: int) -> np.ndarray:
+    """Python-int list masks as :class:`kernels.CandidatePool` mask rows."""
+    words = -(-num_lists // 64)
+    return np.array(
+        [[mask >> 64 * w & (2**64 - 1) for w in range(words)] for mask in masks],
+        dtype=kernels.MASK_WORD,
+    ).reshape(len(masks), words)
+
+
 class TestMaskedLacks:
     def test_matches_per_candidate_fsum(self):
         rng = np.random.default_rng(7)
-        terms = rng.random(5).tolist()
-        masks = rng.integers(0, 2**5, size=40).astype(np.int64)
-        got = kernels.masked_lacks(masks, terms)
-        for mask, lack in zip(masks.tolist(), got.tolist()):
-            expected = math.fsum(
-                term for j, term in enumerate(terms) if not mask >> j & 1
-            )
-            assert lack == expected
+        # One-word masks, a full word, and masks spanning two and three.
+        for num_lists in (5, 64, 65, 130):
+            terms = rng.random(num_lists).tolist()
+            masks = [
+                int.from_bytes(rng.bytes(17), "little") % 2**num_lists
+                for _ in range(40)
+            ]
+            masks[1] = masks[0]  # a shared row is scored once, reused
+            got = kernels.masked_lacks(mask_rows(masks, num_lists), terms)
+            for mask, lack in zip(masks, got.tolist()):
+                expected = math.fsum(
+                    term for j, term in enumerate(terms) if not mask >> j & 1
+                )
+                assert lack == expected
 
 
 class TestSelection:
@@ -144,7 +143,7 @@ class TestSelection:
 
 class TestCandidatePool:
     def test_update_run_accumulates_and_dedups(self):
-        pool = kernels.CandidatePool()
+        pool = kernels.CandidatePool(2)
         pool.update_run(
             np.array([4, 1, 4], dtype=np.int64),
             np.array([0.5, 0.25, 0.125]),
@@ -165,7 +164,7 @@ class TestCandidatePool:
         assert pool.live_tids() == [4, 1]
 
     def test_dead_candidates_never_readmitted(self):
-        pool = kernels.CandidatePool()
+        pool = kernels.CandidatePool(2)
         pool.update_run(
             np.array([4], dtype=np.int64), np.array([0.5]), 0, 1.0, admit=True
         )
@@ -175,6 +174,16 @@ class TestCandidatePool:
         )
         assert pool.live_tids() == []
         assert pool.size == 0
+
+    def test_lists_past_one_word_keep_their_own_bits(self):
+        pool = kernels.CandidatePool(130)
+        assert pool.masks.shape == (0, 3)
+        for j in (0, 64, 129, 64):  # the repeat of list 64 is not re-added
+            pool.update_run(
+                np.array([4], dtype=np.int64), np.array([0.5]), j, 1.0, admit=True
+            )
+        assert pool.partial.tolist() == [1.5]
+        assert pool.masks.tolist() == [[1, 1, 2]]
 
 
 class TestDenseScorer:
@@ -193,8 +202,7 @@ class TestDenseScorer:
             # Tuple support may extend past the query's largest item.
             t_items, t_probs = self._random_sparse(rng, 20)
             expected = sparse_dot_fsum(q.items, q.probs, t_items, t_probs)
-            with kernels.kernel_override("vectorized"):
-                assert q.equality_with_arrays(t_items, t_probs) == expected
+            assert q.equality_with_arrays(t_items, t_probs) == expected
 
     def test_query_vector_scoring_bit_identical(self):
         rng = np.random.default_rng(29)
@@ -205,21 +213,10 @@ class TestDenseScorer:
             expected = sparse_dot_fsum(
                 weights.items, weights.probs, t_items, t_probs
             )
-            with kernels.kernel_override("vectorized"):
-                assert weights.equality_with_arrays(t_items, t_probs) == expected
-
-    def test_scalar_mode_uses_sparse_path(self):
-        q = UncertainAttribute.from_pairs([(1, 0.5), (3, 0.5)])
-        with kernels.kernel_override("scalar"):
-            score = q.equality_with_arrays(
-                np.array([1], dtype=np.int64), np.array([1.0])
-            )
-        assert score == 0.5
-        assert q._scorer is None  # scalar mode built no dense table
+            assert weights.equality_with_arrays(t_items, t_probs) == expected
 
     def test_empty_query_scores_zero(self):
         q = UncertainAttribute.from_pairs([])
-        with kernels.kernel_override("vectorized"):
-            assert q.equality_with_arrays(
-                np.array([1], dtype=np.int64), np.array([1.0])
-            ) == 0.0
+        assert q.equality_with_arrays(
+            np.array([1], dtype=np.int64), np.array([1.0])
+        ) == 0.0

@@ -1,6 +1,6 @@
 """Tests for :class:`repro.exec.ExecContext` — the shipped settings.
 
-The six ambient settings reach worker processes only through this
+The five ambient settings reach worker processes only through this
 value, so three things must hold: it pickles, ``scope()`` installs
 exactly what ``capture()`` resolved (and puts everything back), and a
 worker started with ``spawn`` — which inherits no override — still runs
@@ -13,7 +13,6 @@ from functools import partial
 
 import pytest
 
-from repro.core.kernels import kernel_mode, kernel_override
 from repro.exec import (
     ExecContext,
     batch_override,
@@ -38,7 +37,6 @@ from tests.invindex.conftest import random_relation
 
 def _resolved():
     return ExecContext(
-        kernel=kernel_mode(),
         batch=resolve_batch(),
         join_block=resolve_join_block(),
         sketch=resolve_sketch(),
@@ -48,7 +46,6 @@ def _resolved():
 
 
 NON_DEFAULT = ExecContext(
-    kernel="scalar",
     batch=7,
     join_block=5,
     sketch="approx",
@@ -62,7 +59,7 @@ def test_pickle_round_trip():
 
 
 def test_capture_resolves_every_override():
-    with kernel_override("scalar"), batch_override(7), join_block_override(
+    with batch_override(7), join_block_override(
         5
     ), sketch_override("approx"), backend_scope("mmap"), fault_plan(
         NON_DEFAULT.fault_plan
@@ -78,7 +75,7 @@ def test_capture_rejects_unknown_settings():
 
 
 @pytest.mark.parametrize("fail", [False, True])
-def test_scope_installs_and_restores_all_six(fail):
+def test_scope_installs_and_restores_every_setting(fail):
     before = _resolved()
     assert before != NON_DEFAULT
     try:
@@ -93,7 +90,6 @@ def test_scope_installs_and_restores_all_six(fail):
 
 def test_protocol_keys():
     assert NON_DEFAULT.protocol() == {
-        "kernel": "scalar",
         "batch": 7,
         "join_block": 5,
         "backend": "mmap",
@@ -108,7 +104,7 @@ def _checked_build(expected, relation):
     unpickle it; raising here fails the worker's future, which
     ``parallel_join`` re-raises in the parent.
     """
-    actual = (kernel_mode(), resolve_sketch(), active_backend_spec())
+    actual = (resolve_batch(), resolve_sketch(), active_backend_spec())
     if actual != expected:
         raise AssertionError(
             f"worker resolved {actual}, the parent had {expected}"
@@ -120,17 +116,18 @@ def _checked_build(expected, relation):
 
 
 def test_spawned_join_workers_run_under_the_parents_overrides(tmp_path):
-    """Regression: ``_run_join_chunk`` shipped (plan, block, kernel) and
+    """Regression: ``_run_join_chunk`` shipped only some settings and
     dropped backend and sketch, so under ``spawn`` DSTJ workers built on
-    the default backend and probed with ``REPRO_SKETCH`` unset."""
+    the default backend and probed with ``REPRO_SKETCH`` unset.  The
+    batch size stands in for the settings it did ship."""
     relation = random_relation(24, 8, seed=3)
     previous = multiprocessing.get_start_method()
     multiprocessing.set_start_method("spawn", force=True)
     try:
-        with kernel_override("scalar"), sketch_override(
+        with batch_override(7), sketch_override(
             "exact"
         ), backend_scope(BackendSpec("mmap", directory=str(tmp_path))):
-            expected = (kernel_mode(), resolve_sketch(), active_backend_spec())
+            expected = (resolve_batch(), resolve_sketch(), active_backend_spec())
             join = partial(
                 parallel_join,
                 "dstj",

@@ -1,16 +1,19 @@
-"""Differential suite: scalar vs vectorized kernels are bit-identical.
+"""Differential suite: the block kernels against the per-posting reference.
 
-``REPRO_KERNEL=scalar`` keeps the seed per-posting loops alive exactly
-so this suite can execute every strategy twice — once per kernel mode —
-over hypothesis-generated workloads and assert the two modes agree on
-*everything* the I/O model defines: the answer set, the scores (exact
-float equality), the stop reason, the work counters, and the counted
-physical page reads under the paper's fresh-100-frame-pool regime.
+``tests/invindex/reference.py`` keeps the seed's per-posting form of
+every strategy, so this suite can execute each strategy twice — once as
+shipped, once under :func:`reference_strategies` — over
+hypothesis-generated workloads and assert the two agree on *everything*
+the I/O model defines: the answer set, the scores (exact float
+equality), the stop reason, the work counters, and the counted physical
+page reads under the paper's fresh-100-frame-pool regime.
 
 One test repeats the comparison with fault injection enabled: the fault
 draw depends only on the operation sequence, so bit-identical execution
 must also see (and recover from) the identical fault sequence.
 """
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -23,16 +26,17 @@ from repro.core import (
     UncertainAttribute,
     WindowedEqualityQuery,
 )
-from repro.core import kernels
 from repro.invindex import STRATEGIES, ProbabilisticInvertedIndex
 from repro.storage import BufferPool
+from repro.storage.stats import MeasureScope
 from repro.storage.faults import FaultPlan, fault_plan
 
 from tests.invindex.conftest import random_relation
+from tests.invindex.reference import reference_strategies
 
 POOL_SIZE = 100
 
-#: Stats fields the two kernel modes must agree on exactly.
+#: Stats fields the shipped strategies and the reference must agree on.
 STAT_FIELDS = (
     "candidates_examined",
     "entries_scanned",
@@ -60,31 +64,33 @@ def _query_uda(domain_size, seed, max_nnz=4):
     )
 
 
-def _run(index, make_query, strategy, mode):
-    """Execute under ``mode`` with a fresh measured pool; full snapshot.
+def _implementation(reference):
+    return reference_strategies() if reference else nullcontext()
 
-    The query object is built *inside* the mode scope: scoring caches a
-    dense table on the query under the vectorized mode, and sharing one
-    object across modes would let the scalar run reuse it.
-    """
-    with kernels.kernel_override(mode):
+
+def _run(index, make_query, strategy, reference=False):
+    """Execute with a fresh measured pool; full snapshot."""
+    with _implementation(reference):
         query = make_query()
         index.pool = BufferPool(index.disk, POOL_SIZE)
-        before = index.disk.stats.snapshot()
-        result = index.execute(query, strategy=strategy)
-        reads = index.disk.stats.delta_since(before).reads
+        with MeasureScope(index.disk) as scope:
+            result = index.execute(query, strategy=strategy)
     stats = {field: getattr(result.stats, field) for field in STAT_FIELDS}
-    return [(m.tid, m.score) for m in result], stats, reads
-
-
-def _assert_modes_agree(index, make_query, strategy):
-    matches_v, stats_v, reads_v = _run(
-        index, make_query, strategy, "vectorized"
+    return (
+        [(m.tid, m.score) for m in result],
+        stats,
+        (scope.reads, scope.reads_by_tag),
     )
-    matches_s, stats_s, reads_s = _run(index, make_query, strategy, "scalar")
-    assert matches_v == matches_s, f"{strategy}: answers diverge"
-    assert stats_v == stats_s, f"{strategy}: stats diverge"
-    assert reads_v == reads_s, f"{strategy}: counted page reads diverge"
+
+
+def assert_agrees_with_reference(index, make_query, strategy):
+    matches, stats, reads = _run(index, make_query, strategy)
+    ref_matches, ref_stats, ref_reads = _run(
+        index, make_query, strategy, reference=True
+    )
+    assert matches == ref_matches, f"{strategy}: answers diverge"
+    assert stats == ref_stats, f"{strategy}: stats diverge"
+    assert reads == ref_reads, f"{strategy}: counted page reads diverge"
 
 
 @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
@@ -100,7 +106,7 @@ class TestDifferential:
     )
     def test_threshold(self, dataset, strategy, seed, tau):
         relation, index = dataset
-        _assert_modes_agree(
+        assert_agrees_with_reference(
             index,
             lambda: EqualityThresholdQuery(
                 _query_uda(len(relation.domain), seed), tau
@@ -119,7 +125,7 @@ class TestDifferential:
     )
     def test_top_k(self, dataset, strategy, seed, k):
         relation, index = dataset
-        _assert_modes_agree(
+        assert_agrees_with_reference(
             index,
             lambda: EqualityTopKQuery(
                 _query_uda(len(relation.domain), seed), k
@@ -139,7 +145,7 @@ class TestDifferential:
     )
     def test_windowed(self, dataset, strategy, seed, window, tau):
         relation, index = dataset
-        _assert_modes_agree(
+        assert_agrees_with_reference(
             index,
             lambda: WindowedEqualityQuery(
                 _query_uda(len(relation.domain), seed), tau, window
@@ -155,7 +161,7 @@ def test_differential_under_fault_injection(dataset, strategy):
     plan = FaultPlan(seed=97, read_error_rate=0.02, bit_rot_rate=0.01)
     with fault_plan(plan):
         for seed, tau in ((5, 0.05), (17, 0.2)):
-            _assert_modes_agree(
+            assert_agrees_with_reference(
                 index,
                 lambda: EqualityThresholdQuery(
                     _query_uda(len(relation.domain), seed), tau
@@ -163,7 +169,7 @@ def test_differential_under_fault_injection(dataset, strategy):
                 strategy,
             )
         for seed, k in ((7, 3), (23, 25)):
-            _assert_modes_agree(
+            assert_agrees_with_reference(
                 index,
                 lambda: EqualityTopKQuery(
                     _query_uda(len(relation.domain), seed), k
@@ -176,19 +182,19 @@ def test_differential_under_fault_injection(dataset, strategy):
 # Serve-mode leg: the block verification path against the per-tid loop
 # ---------------------------------------------------------------------------
 
-def _serve_legs(index, make_query, strategy, mode):
-    """Three requests through one serve-mode executor under ``mode``.
+def _serve_legs(index, make_query, strategy, reference):
+    """Three requests through one serve-mode executor.
 
     The first meets a cold tuple store (every candidate is decoded and
     joins it), the repeat a warm one (every candidate comes out of it),
     and a neighbouring query a half-warm one (runs that mix cached and
-    uncached candidates) — the three block paths of the vectorized
-    kernel; the scalar kernel walks all of them per tid.
+    uncached candidates) — the three block paths of the shipped
+    verifier; the reference walks all of them per tid.
     """
     from repro.exec import ServingExecutor
 
     legs = []
-    with kernels.kernel_override(mode):
+    with _implementation(reference):
         serve = ServingExecutor(index, strategy=strategy, mode="serve")
         for shift in (0, 0, 1):
             served = serve.execute(make_query(shift))
@@ -229,14 +235,14 @@ def test_serve_mode_store_states_agree_across_kernels(
             return EqualityTopKQuery(q, k)
         return WindowedEqualityQuery(q, tau, 1 + k % 3)
 
-    vectorized = _serve_legs(index, make_query, strategy, "vectorized")
-    scalar = _serve_legs(index, make_query, strategy, "scalar")
-    for leg, (got, want) in enumerate(zip(vectorized, scalar)):
+    shipped = _serve_legs(index, make_query, strategy, reference=False)
+    reference = _serve_legs(index, make_query, strategy, reference=True)
+    for leg, (got, want) in enumerate(zip(shipped, reference)):
         assert got[0] == want[0], f"{strategy} leg {leg}: answers diverge"
         assert got[1] == want[1], f"{strategy} leg {leg}: stats diverge"
         assert got[2:] == want[2:], f"{strategy} leg {leg}: reads diverge"
-    cold, warm, _ = vectorized
+    cold, warm, _ = shipped
     assert warm[:2] == cold[:2]  # warmth changes reads, never answers
     assert warm[2] == 0  # pool and tuple store hold the whole request
     # And the served answer is the paper protocol's answer.
-    assert cold[0] == _run(index, make_query, strategy, "vectorized")[0]
+    assert cold[0] == _run(index, make_query, strategy)[0]

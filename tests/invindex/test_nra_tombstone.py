@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.core.uda import UncertainAttribute
 from repro.invindex.strategies import NoRandomAccess
+from repro.invindex.tuple_cache import concat_rows
 
 
 class AdversarialCursor:
@@ -55,7 +56,10 @@ class StubPostingList:
 
 
 class StubIndex:
-    """Just enough index surface for NoRandomAccess.threshold."""
+    """Just enough index surface for NoRandomAccess.threshold.
+
+    Block random access records every tid it is asked for.
+    """
 
     def __init__(self, lists, udas):
         self._lists = lists
@@ -65,12 +69,16 @@ class StubIndex:
     def posting_list(self, item):
         return self._lists.get(item)
 
-    def fetch_uda_arrays(self, tid):
-        self.verified_tids.append(tid)
-        items, probs = self._udas[tid]
-        return (
-            np.asarray(items, dtype=np.int64),
-            np.asarray(probs, dtype=np.float64),
+    def fetch_uda_block(self, tids, announce=None):
+        self.verified_tids.extend(tids.tolist())
+        return concat_rows(
+            [
+                (
+                    np.asarray(self._udas[tid][0], dtype=np.int64),
+                    np.asarray(self._udas[tid][1], dtype=np.float64),
+                )
+                for tid in tids.tolist()
+            ]
         )
 
 

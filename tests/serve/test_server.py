@@ -20,6 +20,7 @@ from repro.serve.protocol import decode_line, encode_line, query_to_wire
 
 from tests.exec.test_batch import POOL_SIZE, mixed_workload
 from tests.invindex.conftest import random_relation
+from tests.invindex.reference import reference_strategies
 
 
 @pytest.fixture(scope="module")
@@ -361,9 +362,8 @@ def test_serve_traces_validate_against_schema(index, workload):
     # what the per-tid loop emits — one ``verify.random_access`` per
     # candidate, in run order, each *before* that tid's tuple-list page
     # access (cold store) or with no page access at all (warm store).
-    # Reference: the same requests, in process, under the scalar kernel.
-    from repro.core import kernels
-
+    # Reference: the same requests, in process, under the per-posting
+    # reference strategies.
     queries = workload[:6]
     served_sink, reference_sink = MemorySink(), MemorySink()
 
@@ -376,7 +376,7 @@ def test_serve_traces_validate_against_schema(index, workload):
 
     with tracing(Tracer(served_sink)):
         run(cold_then_warm())
-    with kernels.kernel_override("scalar"), tracing(Tracer(reference_sink)):
+    with reference_strategies(), tracing(Tracer(reference_sink)):
         executor = ServingExecutor(index, mode="serve")
         for query in queries + queries:
             executor.execute(query)
