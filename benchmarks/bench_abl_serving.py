@@ -16,9 +16,8 @@ queries total) through the inverted index two ways:
   whose per-point reads are written compare_io.py-compatibly;
 * **warm** — ``mode="serve"``: one long-lived shared pool per dataset
   (:class:`repro.exec.ServingExecutor`), requests executed one at a
-  time — which is also how the server runs a coalesced group
-  (``execute_batch`` is a loop over ``execute``; see
-  ``tests/exec/test_serving.py``).
+  time — which is also how the server runs them (one ``execute`` per
+  request; see ``tests/serve/test_server.py``).
 
 Exactness gates, asserted on *every* query:
 

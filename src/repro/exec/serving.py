@@ -36,11 +36,10 @@ path.  :class:`ServingExecutor` makes the protocol an explicit mode:
     (asserted per query by ``benchmarks/bench_abl_serving.py``).
 
 :meth:`ServingExecutor.execute` is the one route by which a served
-request reaches the index.  :meth:`ServingExecutor.execute_batch`, the
-entry point :mod:`repro.serve` calls with each coalesced group, is a
-loop over it: the group shares one worker-thread hop, the warm pool
-and the tuple-decode cache, and nothing else, so each request's reads
-are attributed exactly as if it had arrived alone.
+request reaches the index: :mod:`repro.serve` calls it once per
+request.  :meth:`ServingExecutor.execute_batch` is the in-process loop
+over it, so each member's reads are attributed exactly as if it had
+arrived alone.
 
 See ``docs/serving.md`` for the full model and
 ``docs/io-model.md`` for why goldens bind in measurement mode only.
@@ -88,9 +87,6 @@ class ServedResult:
     pool_misses: int = 0
     #: The protocol the request ran under ("measure" or "serve").
     mode: str = "serve"
-    #: Size of the coalesced group this request ran in (1 when it ran
-    #: alone, and always in measure mode).
-    coalesced: int = 1
 
     def __len__(self) -> int:
         return len(self.result)
@@ -251,39 +247,31 @@ class ServingExecutor:
             mode=self.mode,
         )
 
-    # -- coalesced groups ----------------------------------------------------
+    # -- groups of requests --------------------------------------------------
 
     def execute_batch(
         self,
         queries: Sequence[Query],
         bounds: Sequence[dict] | None = None,
     ) -> list[ServedResult | ReproError]:
-        """Answer a coalesced group of requests, one :meth:`execute` each.
+        """Answer a group of requests, one :meth:`execute` each.
 
         ``bounds`` optionally aligns with ``queries``: each entry holds
         that request's own pushed-down :meth:`execute` keywords
         (``tau_floor`` / ``sketch`` / ``div_ceiling``), so requests with
         different bounds share a group and each keeps its own.  Results
-        align with the input order, mirroring the arrival-order
-        demultiplexing contract of :mod:`repro.serve`.  A member the
-        index refuses (or whose read fails) does not take its
-        neighbours down: its slot holds the :class:`ReproError` instead
-        of raising it.  In serve mode each result reports the group
-        size as ``coalesced``; measure mode leaves it 1 — coalescing is
-        a serving notion, never a measurement one.
+        align with the input order.  A member the index refuses (or
+        whose read fails) does not take its neighbours down: its slot
+        holds the :class:`ReproError` instead of raising it.
         """
         if bounds is None:
             bounds = [{}] * len(queries)
         served: list[ServedResult | ReproError] = []
         for query, pushed in zip(queries, bounds, strict=True):
             try:
-                result = self.execute(query, **pushed)
+                served.append(self.execute(query, **pushed))
             except ReproError as exc:
                 served.append(exc)
-                continue
-            if self.mode == "serve":
-                result.coalesced = len(queries)
-            served.append(result)
         return served
 
     # -- mutations -----------------------------------------------------------
@@ -295,9 +283,8 @@ class ServingExecutor:
         (needs ``tid``), or ``"compact"``.  The mutation runs against
         the warm pool, so its dirty pages join the shared working set.
         The server executes mutations on the same single worker thread
-        as queries (one at a time, never interleaved with a batch),
-        which is what makes a mutation atomic from every reader's point
-        of view.
+        as queries, one request at a time, which is what makes a
+        mutation atomic from every reader's point of view.
 
         The tuple-decode cache is invalidated *by tid*: a decoded tuple
         depends only on its own stored pairs, so an insert or delete

@@ -105,19 +105,17 @@ SCHEMA: dict[str, RecordSpec] = {
     "batch.end": _spec({"size": int, "shared_pages": int}),
     # -- query service (repro.serve) ----------------------------------------
     # One serve.request per response written: status is "ok", "shed",
-    # "timeout", or "error"; reads/coalesced only accompany "ok".
+    # "timeout", or "error"; reads/matches only accompany "ok".
     # Records carry no timestamps (trace byte-determinism), so queueing
     # delay is deliberately absent — wall-clock lives in the response
     # payload, not the trace.
     "serve.request": _spec(
         {"query": str, "status": str},
-        {"reads": int, "coalesced": int, "reason": str, "matches": int},
+        {"reads": int, "reason": str, "matches": int},
     ),
-    # One per executed coalesced batch: how many requests it grouped
-    # and the batch's total physical reads (the sum of its members').
-    "serve.batch": _spec({"size": int, "reads": int}),
     # Admission control turned a request away: reason "inflight" (the
-    # in-flight cap) or "queue" (the bounded wait queue overflowed).
+    # in-flight cap), "queue" (the bounded wait queue overflowed) or
+    # "shutdown" (it arrived after the server began to stop).
     "serve.shed": _spec({"reason": str}),
     # -- scatter-gather sharding (repro.shard, docs/sharding.md) ------------
     # One shard.begin/end per coordinated query; k/fanout only for

@@ -23,8 +23,8 @@ finding better candidates at the beginning of the search").
 
 As an extension past the paper's equality focus, the tree also answers
 distributional-similarity queries (DSTQ / DSQ-top-k) for L1 and L2 with
-a sound MBR lower bound (KL admits no such bound and falls back to a
-full sweep).
+a sound MBR lower bound (every other divergence, the KL family, gets no
+node bound and falls back to a full sweep).
 """
 
 from __future__ import annotations
@@ -807,9 +807,11 @@ class PDRTree:
 
         Every member satisfies ``u_i <= boundary[f(i)]``, so
         ``|q_i - u_i| >= max(0, q_i - boundary[f(i)])`` componentwise.
-        Sound for L1 and L2; KL has no such bound (returns 0 = no prune).
+        That deficit bounds L1 and L2 only; every other divergence (KL,
+        symmetric KL) gets 0, i.e. no pruning.
         """
-        if divergence == "kl":
+        divergence = divergence.lower()
+        if divergence not in ("l1", "l2"):
             return 0.0
         positions = np.searchsorted(boundary.items, folded)
         positions = np.clip(positions, 0, max(len(boundary.items) - 1, 0))

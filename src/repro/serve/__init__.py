@@ -9,8 +9,8 @@ over a JSON-lines TCP protocol:
 - :mod:`repro.serve.config` — :class:`ServeConfig` and its
   ``REPRO_SERVE_*`` environment knobs;
 - :mod:`repro.serve.server` — :class:`QueryServer`: admission control
-  (in-flight cap + bounded queue), per-request deadlines, and request
-  coalescing into batched execution;
+  (in-flight cap + bounded queue), per-request deadlines, and one
+  request at a time on a single worker thread;
 - :mod:`repro.serve.client` — :class:`ServeClient`, a thin asyncio
   client used by the stress tests and the serving benchmark.
 

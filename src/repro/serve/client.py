@@ -8,7 +8,7 @@ submission styles:
   any response.  Because the server answers each connection in arrival
   order, responses come back aligned with the submitted list — and
   because the requests are all queued at once, this is the path that
-  actually exercises request coalescing.
+  actually exercises admission control.
 """
 
 from __future__ import annotations

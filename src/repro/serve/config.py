@@ -11,12 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.core.config import (
-    parse_float_knob,
-    parse_int_knob,
-    read_env_float,
-    read_env_int,
-)
+from repro.core.config import parse_float_knob, parse_int_knob, read_env_int
 from repro.core.exceptions import ConfigError
 from repro.exec.serving import DEFAULT_SERVE_POOL_SIZE, MODES
 
@@ -25,8 +20,6 @@ MODE_ENV = "REPRO_SERVE_MODE"
 POOL_ENV = "REPRO_SERVE_POOL"
 INFLIGHT_ENV = "REPRO_SERVE_INFLIGHT"
 QUEUE_ENV = "REPRO_SERVE_QUEUE"
-COALESCE_MS_ENV = "REPRO_SERVE_COALESCE_MS"
-COALESCE_MAX_ENV = "REPRO_SERVE_COALESCE_MAX"
 DEADLINE_MS_ENV = "REPRO_SERVE_DEADLINE_MS"
 
 
@@ -53,13 +46,6 @@ class ServeConfig:
     queue_limit:
         Bound on the wait queue alone; arrivals finding it full are
         shed with reason ``"queue"``.
-    coalesce_ms:
-        After the first request of a batch arrives, wait this many
-        milliseconds for more arrivals before executing, so near-
-        simultaneous requests share one batch (0 disables the wait;
-        whatever is queued when the batcher wakes still coalesces).
-    coalesce_max:
-        Largest batch one execution may group.
     deadline_ms:
         Default per-request deadline, applied when the request carries
         none.  ``None`` means no default deadline.  Deadlines are
@@ -77,8 +63,6 @@ class ServeConfig:
     pool_size: int = DEFAULT_SERVE_POOL_SIZE
     max_inflight: int = 64
     queue_limit: int = 256
-    coalesce_ms: float = 2.0
-    coalesce_max: int = 32
     deadline_ms: float | None = 1000.0
     strategy: str | None = None
 
@@ -90,8 +74,6 @@ class ServeConfig:
         parse_int_knob(self.pool_size, POOL_ENV, minimum=1)
         parse_int_knob(self.max_inflight, INFLIGHT_ENV, minimum=1)
         parse_int_knob(self.queue_limit, QUEUE_ENV, minimum=1)
-        parse_float_knob(self.coalesce_ms, COALESCE_MS_ENV, minimum=0.0)
-        parse_int_knob(self.coalesce_max, COALESCE_MAX_ENV, minimum=1)
         if self.deadline_ms is not None:
             parse_float_knob(self.deadline_ms, DEADLINE_MS_ENV, minimum=0.0)
 
@@ -119,12 +101,6 @@ class ServeConfig:
         queue = read_env_int(QUEUE_ENV, minimum=1, environ=env)
         if queue is not None:
             values["queue_limit"] = queue
-        coalesce_ms = read_env_float(COALESCE_MS_ENV, minimum=0.0, environ=env)
-        if coalesce_ms is not None:
-            values["coalesce_ms"] = coalesce_ms
-        coalesce_max = read_env_int(COALESCE_MAX_ENV, minimum=1, environ=env)
-        if coalesce_max is not None:
-            values["coalesce_max"] = coalesce_max
         raw_deadline = env.get(DEADLINE_MS_ENV)
         if raw_deadline is not None:
             if raw_deadline.strip().lower() in ("off", "none", ""):

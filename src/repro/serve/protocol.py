@@ -9,7 +9,7 @@ trailing ``\\n``.  A request is either a *query*::
 or a *control op* (``{"op": "ping"}``, ``{"op": "stats"}``,
 ``{"op": "reset_window"}``).  Responses echo the request ``id`` and
 carry a ``status``: ``"ok"`` (with ``matches`` as ``[tid, score]``
-pairs in presentation order, plus ``reads``/``coalesced``/``mode``),
+pairs in presentation order, plus ``reads``/``mode``),
 ``"shed"`` (with ``reason``), ``"timeout"``, or ``"error"`` (with
 ``error``).
 

@@ -1,4 +1,4 @@
-"""The admission-controlled, coalescing asyncio query server.
+"""The admission-controlled asyncio query server.
 
 :class:`QueryServer` keeps one index attached to a long-lived warm
 buffer pool (via :class:`repro.exec.serving.ServingExecutor`) and
@@ -13,27 +13,28 @@ overload degrades availability, never correctness.
 
 **Deadlines.**  Each admitted request carries an absolute deadline
 (its own ``deadline_ms`` or the config default).  Deadlines are
-checked when the batcher dequeues: a request that waited too long is
+checked when the run loop dequeues: a request that waited too long is
 answered ``"timeout"`` without executing.  Execution is never
 preempted — the deadline bounds *queueing*, the dominant delay under
 load.
 
-**Coalescing.**  A single batcher task drains the queue: after the
-first arrival it waits ``coalesce_ms`` for company, then hands up to
-``coalesce_max`` requests to the worker thread as *one*
-:meth:`~repro.exec.serving.ServingExecutor.execute_batch` call.  The
-group shares that one thread hop, the warm pool and the tuple-decode
-cache, and nothing else: each member runs as its own
-:meth:`~repro.exec.serving.ServingExecutor.execute` with its own
-pushed-down bounds.  Results demultiplex back to their requests in
-arrival order (per-request futures; each connection writes responses
-in the order its requests arrived).
+**One request at a time.**  A single run loop takes the head of the
+queue and hands it to the worker thread as one call —
+:meth:`~repro.exec.serving.ServingExecutor.execute` under the request's
+own pushed-down bounds, or
+:meth:`~repro.exec.serving.ServingExecutor.apply_mutation` — answers it
+as soon as that call returns, then takes the next.  Each connection
+still writes its responses in the order its requests arrived
+(per-request futures, awaited FIFO by the connection's pump).
 
 Execution runs on one dedicated worker thread
 (``ThreadPoolExecutor(max_workers=1)``), so the event loop stays
-responsive for admission decisions while queries run, and index/pool
-state is only ever touched single-threaded.  All ``serve.*`` trace
-records and counters are emitted from the event-loop thread.
+responsive for admission decisions while a request runs, and
+index/pool state is only ever touched single-threaded.  With one
+request on the worker at a time, a mutation is atomic to every reader
+by construction: a query runs wholly before or wholly after it.  All
+``serve.*`` trace records and counters are emitted from the event-loop
+thread.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from __future__ import annotations
 import asyncio
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Any
 
 from repro.core.exceptions import QueryError, ReproError
@@ -68,25 +70,18 @@ _STATUSES = ("ok", "shed", "timeout", "error")
 
 @dataclass
 class _Pending:
-    """One admitted request waiting in (or leaving) the batch queue."""
+    """One admitted request waiting in (or leaving) the run queue."""
 
     request: Request
     future: asyncio.Future
     #: Absolute ``loop.time()`` deadline, or None for "no deadline".
     deadline: float | None
     #: The label used in this request's ``serve.request`` trace record.
-    label: str = field(default="")
-
-    def __post_init__(self) -> None:
-        if not self.label:
-            if self.request.mutation is not None:
-                self.label = self.request.mutation.op
-            else:
-                self.label = type(self.request.query).__name__
+    label: str
 
 
 class QueryServer:
-    """Serve one index over TCP with admission control and coalescing.
+    """Serve one index over TCP with admission control and deadlines.
 
     Usage::
 
@@ -116,10 +111,12 @@ class QueryServer:
         self._inflight = 0
         self._running = False
         self._server: asyncio.AbstractServer | None = None
-        self._batcher: asyncio.Task | None = None
+        self._runner: asyncio.Task | None = None
         self._handlers: set[asyncio.Task] = set()
         self._writers: set[asyncio.StreamWriter] = set()
-        #: Response tallies plus batch statistics, for the ``stats`` op.
+        #: Response tallies for the ``stats`` op.  Every executed query
+        #: adds one to ``batches`` and to ``coalesced`` alike (kept for
+        #: readers that derive a mean batch size from the two).
         self.counters: dict[str, int] = {
             **{status: 0 for status in _STATUSES},
             "requests": 0,
@@ -131,7 +128,7 @@ class QueryServer:
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the listening socket and start the batcher task."""
+        """Bind the listening socket and start the run loop."""
         if self._server is not None:
             raise ReproError("server already started")
         self._wake = asyncio.Event()
@@ -142,7 +139,7 @@ class QueryServer:
             self.config.port,
             limit=MAX_LINE_BYTES,
         )
-        self._batcher = asyncio.create_task(self._batch_loop())
+        self._runner = asyncio.create_task(self._run_loop())
 
     @property
     def address(self) -> tuple[str, int]:
@@ -161,18 +158,20 @@ class QueryServer:
     async def stop(self) -> None:
         """Stop accepting, finish/flush outstanding work, release threads.
 
-        A batch already executing completes and its responses are
-        delivered; requests still waiting in the queue are answered
-        ``"shed"`` with reason ``"shutdown"``.
+        The request already executing completes and its response is
+        delivered; requests still waiting in the queue, and any that
+        arrive from here on, are answered ``"shed"`` with reason
+        ``"shutdown"``.  A connection still open after a one-second
+        grace period is cut off, unsent replies and all.
         """
         self._running = False
         if self._server is not None:
             self._server.close()
-        if self._batcher is not None:
-            if self._wake is not None:
-                self._wake.set()
-            await self._batcher
-            self._batcher = None
+        if self._runner is not None:
+            assert self._wake is not None
+            self._wake.set()
+            await self._runner
+            self._runner = None
         while self._queue:
             pending = self._queue.popleft()
             self._finish(
@@ -182,17 +181,24 @@ class QueryServer:
                 status="shed",
                 reason="shutdown",
             )
+        # One turn of the loop lets each connection's pump write the
+        # replies resolved above before its writer closes.
+        await asyncio.sleep(0)
         # Reap open connections so no handler task outlives the server
         # (a lingering task trips asyncio's loop-teardown diagnostics).
         for writer in list(self._writers):
             writer.close()
         handlers = [task for task in self._handlers if not task.done()]
         if handlers:
-            await asyncio.wait(handlers, timeout=1.0)
-            for task in handlers:
-                if not task.done():
-                    task.cancel()
-            await asyncio.gather(*handlers, return_exceptions=True)
+            _, stuck = await asyncio.wait(handlers, timeout=1.0)
+            if stuck:
+                # A client that never reads leaves its pump blocked in
+                # drain() and close() waiting on a flush that never
+                # comes.  Aborting drops the unsent bytes: drain() then
+                # raises, the pump keeps consuming, the handler ends.
+                for writer in list(self._writers):
+                    writer.transport.abort()
+                await asyncio.wait(stuck)
         if self._server is not None:
             await self._server.wait_closed()
             self._server = None
@@ -210,7 +216,7 @@ class QueryServer:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        # Responses must leave in arrival order even though batches
+        # Responses must leave in arrival order even though requests
         # resolve out of order across connections: every request gets a
         # future at dispatch time, and this connection's pump awaits
         # them strictly FIFO.  The queue is bounded so a client that
@@ -313,7 +319,9 @@ class QueryServer:
             else type(request.query).__name__
         )
         reason = None
-        if self._inflight >= self.config.max_inflight:
+        if not self._running:
+            reason = "shutdown"
+        elif self._inflight >= self.config.max_inflight:
             reason = "inflight"
         elif len(self._queue) >= self.config.queue_limit:
             reason = "queue"
@@ -324,8 +332,8 @@ class QueryServer:
             payload = {"id": request.id, "status": "shed", "reason": reason}
             self._record(label, "shed", reason=reason)
             return self._resolved(payload)
-        # Admitted: compute the absolute deadline and queue for the
-        # batcher.  loop.time() is monotonic, immune to clock steps.
+        # Admitted: compute the absolute deadline and queue for the run
+        # loop.  loop.time() is monotonic, immune to clock steps.
         loop = asyncio.get_running_loop()
         deadline_ms = (
             request.deadline_ms
@@ -336,7 +344,10 @@ class QueryServer:
             None if deadline_ms is None else loop.time() + deadline_ms / 1000.0
         )
         pending = _Pending(
-            request=request, future=loop.create_future(), deadline=deadline
+            request=request,
+            future=loop.create_future(),
+            deadline=deadline,
+            label=label,
         )
         self._inflight += 1
         self._queue.append(pending)
@@ -374,137 +385,68 @@ class QueryServer:
             payload.update(status="error", error=f"unknown op {op!r}")
         return payload
 
-    # -- the batcher ---------------------------------------------------------
+    # -- the run loop --------------------------------------------------------
 
-    async def _batch_loop(self) -> None:
+    async def _run_loop(self) -> None:
         loop = asyncio.get_running_loop()
         assert self._wake is not None
-        while True:
-            await self._wake.wait()
-            if not self._running:
-                return
+        while self._running:
             if not self._queue:
                 self._wake.clear()
+                await self._wake.wait()
                 continue
-            # (never clear the wake event once stopping: stop() sets it
-            # exactly once, and clearing it would deadlock the final
-            # `await self._batcher`.)
-            # Coalescing window: linger briefly so near-simultaneous
-            # arrivals share one batch, unless a full batch is already
-            # waiting.
-            if (
-                self.config.coalesce_ms > 0
-                and len(self._queue) < self.config.coalesce_max
-            ):
-                await asyncio.sleep(self.config.coalesce_ms / 1000.0)
-            # Mutations never share a batch: one executes alone on the
-            # worker thread, so every query batch observes the index
-            # either wholly before or wholly after it (readers can
-            # never see a torn write).
-            batch: list[_Pending] = []
-            while self._queue and len(batch) < self.config.coalesce_max:
-                head = self._queue[0]
-                if head.request.mutation is not None:
-                    if not batch:
-                        batch.append(self._queue.popleft())
-                    break
-                batch.append(self._queue.popleft())
-            if not self._queue and self._running:
-                self._wake.clear()
-            now = loop.time()
-            live: list[_Pending] = []
-            for pending in batch:
-                if pending.deadline is not None and now > pending.deadline:
-                    self._finish(
-                        pending,
-                        {"id": pending.request.id, "status": "timeout"},
-                        status="timeout",
-                    )
-                else:
-                    live.append(pending)
-            if not live:
-                continue
-            if live[0].request.mutation is not None:
-                await self._run_mutation(loop, live[0])
-                continue
-            try:
-                served = await loop.run_in_executor(
-                    self._worker,
-                    self._execute_sync,
-                    [pending.request for pending in live],
-                )
-            except Exception as exc:  # noqa: BLE001 -- answered, not raised
-                for pending in live:
-                    self._fail(pending, exc)
-                continue
-            tracer = active_tracer()
-            if tracer is not None:
-                tracer.event(
-                    "serve.batch",
-                    size=len(live),
-                    reads=sum(
-                        result.reads
-                        for result in served
-                        if isinstance(result, ServedResult)
-                    ),
-                )
-            METRICS.inc("serve.batch")
-            self.counters["batches"] += 1
-            self.counters["coalesced"] += len(live)
-            for pending, result in zip(live, served):
-                if isinstance(result, ReproError):
-                    # Refused or failed alone; its neighbours ran.
-                    self._fail(pending, result)
-                    continue
+            pending = self._queue.popleft()
+            if pending.deadline is not None and loop.time() > pending.deadline:
                 self._finish(
                     pending,
-                    self._ok_payload(pending.request.id, result),
-                    status="ok",
-                    reads=result.reads,
-                    coalesced=result.coalesced,
-                    matches=len(result),
+                    {"id": pending.request.id, "status": "timeout"},
+                    status="timeout",
                 )
+                continue
+            await self._run(loop, pending)
 
-    async def _run_mutation(self, loop, pending: _Pending) -> None:
-        """Execute one mutation alone on the worker thread and answer it."""
-        mutation = pending.request.mutation
-        try:
-            stamp = await loop.run_in_executor(
-                self._worker, self._apply_mutation_sync, mutation
+    async def _run(self, loop, pending: _Pending) -> None:
+        """Execute one request on the worker thread and answer it."""
+        request = pending.request
+        mutation = request.mutation
+        if mutation is not None:
+            call = partial(
+                self.executor.apply_mutation,
+                mutation.op,
+                tid=mutation.tid,
+                uda=mutation.uda,
             )
+        else:
+            call = partial(
+                self.executor.execute,
+                request.query,
+                tau_floor=request.tau_floor,
+                sketch=request.sketch,
+                div_ceiling=request.div_ceiling,
+            )
+        try:
+            outcome = await loop.run_in_executor(self._worker, call)
         except Exception as exc:  # noqa: BLE001 -- answered, not raised
             self._fail(pending, exc)
             return
-        METRICS.inc("serve.mutation")
-        self.counters["mutations"] += 1
+        if mutation is not None:
+            METRICS.inc("serve.mutation")
+            self.counters["mutations"] += 1
+            self._finish(
+                pending,
+                {"id": request.id, "status": "ok",
+                 "op": mutation.op, "mutations": outcome},
+                status="ok",
+            )
+            return
+        self.counters["batches"] += 1
+        self.counters["coalesced"] += 1
         self._finish(
             pending,
-            {"id": pending.request.id, "status": "ok",
-             "op": mutation.op, "mutations": stamp},
+            self._ok_payload(request.id, outcome),
             status="ok",
-        )
-
-    def _apply_mutation_sync(self, mutation) -> int:
-        """Worker-thread entry: apply one mutation via the executor."""
-        return self.executor.apply_mutation(
-            mutation.op, tid=mutation.tid, uda=mutation.uda
-        )
-
-    def _execute_sync(
-        self, requests: list[Request]
-    ) -> list[ServedResult | ReproError]:
-        """Worker-thread entry: run one coalesced group, each request
-        under its own pushed-down bounds."""
-        return self.executor.execute_batch(
-            [request.query for request in requests],
-            [
-                {
-                    "tau_floor": request.tau_floor,
-                    "sketch": request.sketch,
-                    "div_ceiling": request.div_ceiling,
-                }
-                for request in requests
-            ],
+            reads=outcome.reads,
+            matches=len(outcome),
         )
 
     # -- response bookkeeping ------------------------------------------------
@@ -515,7 +457,6 @@ class QueryServer:
             "status": "ok",
             "matches": matches_to_wire(result.result),
             "reads": result.reads,
-            "coalesced": result.coalesced,
             "mode": result.mode,
         }
 

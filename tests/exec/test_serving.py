@@ -3,8 +3,8 @@
 The load-bearing contracts: serve-mode answers are byte-identical to
 measurement-mode answers; warm per-request posting reads never exceed
 the cold (fresh-pool) reads for the same query; measure mode reproduces
-:func:`repro.bench.harness.measure_query` exactly; coalesced batches
-demultiplex in input order; and the warm pool quiesces clean (no
+:func:`repro.bench.harness.measure_query` exactly; batches answer in
+input order; and the warm pool quiesces clean (no
 leaked pins) after any workload.
 """
 
@@ -115,7 +115,6 @@ def test_coalesced_batch_matches_per_query(index, relation):
     serve = ServingExecutor(index, mode="serve")
     served = serve.execute_batch(queries)
     assert answers(served) == expected
-    assert [s.coalesced for s in served] == [len(queries)] * len(queries)
     total_attributed = sum(s.reads for s in served)
     cold_total = sum(measure.execute(q).reads for q in queries)
     assert total_attributed <= cold_total
@@ -123,7 +122,7 @@ def test_coalesced_batch_matches_per_query(index, relation):
 
 
 def test_batch_is_a_loop_over_execute(relation):
-    """A coalesced group shares the pool and nothing else: every member
+    """A batch shares the pool and nothing else: every member
     is billed exactly what a lone ``execute`` on an identically warmed
     twin is billed, bounds included."""
     from repro.core import EqualityTopKQuery
@@ -154,7 +153,6 @@ def test_batch_is_a_loop_over_execute(relation):
         e.reads_by_tag for e in expected
     ]
     assert sum(s.reads for s in served) > 0
-    assert [s.coalesced for s in served] == [len(queries)] * len(queries)
     with pytest.raises(ValueError):
         alone.execute_batch(queries, bounds[:-1])
 
@@ -163,8 +161,10 @@ def test_measure_mode_batch_degenerates_to_per_query(index, relation):
     queries = mixed_workload(len(relation.domain), 6, base_seed=29)
     measure = ServingExecutor(index, mode="measure", pool_size=POOL_SIZE)
     served = measure.execute_batch(queries)
-    assert [s.coalesced for s in served] == [1] * len(queries)
+    alone = [measure.execute(q) for q in queries]
     assert [s.mode for s in served] == ["measure"] * len(queries)
+    assert answers(served) == answers(alone)
+    assert [s.reads for s in served] == [s.reads for s in alone]
 
 
 def test_measure_mode_reads_are_repeatable(index, relation):
@@ -298,7 +298,7 @@ def test_stampless_index_bypasses_cross_request_cache():
 
 
 def test_stampless_index_still_gets_per_request_memo():
-    """Within one coalesced request a stamp-less index still memoizes."""
+    """Within one request a stamp-less index still memoizes."""
     stampless = _StamplessIndex()
     serve = ServingExecutor(stampless, mode="serve")
     with serve._decode_scope():

@@ -1,11 +1,11 @@
 """Tests for :mod:`repro.serve.config` (``REPRO_SERVE_*`` knobs)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import ConfigError
 from repro.serve.config import (
-    COALESCE_MAX_ENV,
-    COALESCE_MS_ENV,
     DEADLINE_MS_ENV,
     INFLIGHT_ENV,
     MODE_ENV,
@@ -18,7 +18,7 @@ from repro.serve.config import (
 def test_defaults_are_valid():
     config = ServeConfig()
     assert config.mode == "serve"
-    assert config.pool_size >= config.coalesce_max
+    assert config.deadline_ms == 1000.0
 
 
 def test_from_env_reads_every_knob():
@@ -28,8 +28,6 @@ def test_from_env_reads_every_knob():
             POOL_ENV: "512",
             INFLIGHT_ENV: "8",
             QUEUE_ENV: "16",
-            COALESCE_MS_ENV: "0.5",
-            COALESCE_MAX_ENV: "4",
             DEADLINE_MS_ENV: "250",
         }
     )
@@ -37,9 +35,21 @@ def test_from_env_reads_every_knob():
     assert config.pool_size == 512
     assert config.max_inflight == 8
     assert config.queue_limit == 16
-    assert config.coalesce_ms == 0.5
-    assert config.coalesce_max == 4
     assert config.deadline_ms == 250.0
+
+
+def test_coalescing_knobs_are_gone():
+    """The server answers one request at a time: there is no linger or
+    group bound to configure, and a leftover environment knob is
+    ignored, even a malformed one."""
+    assert len(dataclasses.fields(ServeConfig)) == 8
+    for knob in ("ms", "max"):
+        with pytest.raises(TypeError):
+            ServeConfig(**{f"coalesce_{knob}": 1})
+    leftover = {
+        f"REPRO_SERVE_COALESCE_{knob.upper()}": "lots" for knob in ("ms", "max")
+    }
+    assert ServeConfig.from_env(environ=leftover) == ServeConfig()
 
 
 def test_deadline_off_words():
@@ -62,9 +72,6 @@ def test_overrides_beat_environment():
         (POOL_ENV, "0"),
         (INFLIGHT_ENV, "-1"),
         (QUEUE_ENV, "1.5"),
-        (COALESCE_MS_ENV, "-2"),
-        (COALESCE_MS_ENV, "nan"),
-        (COALESCE_MAX_ENV, "lots"),
         (DEADLINE_MS_ENV, "-10"),
     ],
 )
@@ -88,12 +95,12 @@ def test_mode_validated():
 def test_constructor_validates_programmatic_values():
     with pytest.raises(ConfigError, match=INFLIGHT_ENV):
         ServeConfig(max_inflight=0)
-    with pytest.raises(ConfigError, match=COALESCE_MAX_ENV):
-        ServeConfig(coalesce_max=0)
+    with pytest.raises(ConfigError, match=POOL_ENV):
+        ServeConfig(pool_size=0)
 
 
 def test_with_overrides_revalidates():
     config = ServeConfig()
-    assert config.with_overrides(coalesce_ms=0.0).coalesce_ms == 0.0
+    assert config.with_overrides(deadline_ms=None).deadline_ms is None
     with pytest.raises(ConfigError, match=QUEUE_ENV):
         config.with_overrides(queue_limit=0)

@@ -2,9 +2,9 @@
 
 Three contracts beyond the basic round-trip:
 
-* **Atomicity** — a mutation executes alone, never inside a query
-  batch, so a concurrent reader sees the wholly-before or wholly-after
-  answer set and nothing in between;
+* **Atomicity** — the server runs one request at a time on its one
+  worker thread, so a concurrent reader sees the wholly-before or
+  wholly-after answer set and nothing in between;
 * **Cache invalidation** — the cross-request tuple-decode cache is
   stamped against ``index.mutations``; a delete is never served from a
   stale decoded tuple;
@@ -151,7 +151,7 @@ class TestWireMutations:
             return observed
 
         async def scenario():
-            config = ServeConfig(coalesce_ms=1.0, coalesce_max=8)
+            config = ServeConfig()
             async with QueryServer(index, config=config) as server:
                 async with ServeClient(*server.address) as writer:
                     before = frozenset(tid_set(await writer.query(query)))
@@ -224,7 +224,7 @@ class TestWireMutations:
                     await asyncio.sleep(0.005)
 
         async def scenario():
-            config = ServeConfig(coalesce_ms=1.0, coalesce_max=8)
+            config = ServeConfig()
             async with QueryServer(index, config=config) as server:
                 got, _ = await asyncio.gather(
                     querier(server.address, queries * 4),

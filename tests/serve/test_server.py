@@ -1,8 +1,9 @@
-"""Tests for :mod:`repro.serve.server` (admission, deadlines, coalescing).
+"""Tests for :mod:`repro.serve.server` (admission, deadlines, replies).
 
 No pytest-asyncio in the toolchain, so each test drives its own event
 loop with ``asyncio.run``.  The server binds port 0 (ephemeral) on
-loopback.
+loopback.  Tests that need requests to wait in the queue hold the
+server's one worker with :mod:`tests.serve.gate`.
 """
 
 import asyncio
@@ -21,6 +22,7 @@ from repro.serve.protocol import decode_line, encode_line, query_to_wire
 from tests.exec.test_batch import POOL_SIZE, mixed_workload
 from tests.invindex.conftest import random_relation
 from tests.invindex.reference import reference_strategies
+from tests.serve.gate import WorkerGate, held_worker, until
 
 
 @pytest.fixture(scope="module")
@@ -67,8 +69,7 @@ def test_single_query_roundtrip(index, workload, expected):
 
 def test_pipeline_answers_align_and_match_measure(index, workload, expected):
     async def scenario():
-        config = ServeConfig(coalesce_ms=1.0, coalesce_max=8)
-        async with QueryServer(index, config=config) as server:
+        async with QueryServer(index, config=ServeConfig()) as server:
             async with ServeClient(*server.address) as client:
                 payloads = await client.pipeline(workload)
             await server.drain()
@@ -78,8 +79,46 @@ def test_pipeline_answers_align_and_match_measure(index, workload, expected):
     payloads = run(scenario())
     assert [p["status"] for p in payloads] == ["ok"] * len(workload)
     assert [p["matches"] for p in payloads] == expected
-    # The pipelined submission actually coalesced.
-    assert max(p["coalesced"] for p in payloads) > 1
+    assert all("coalesced" not in p for p in payloads)
+
+
+def test_each_reply_leaves_when_its_own_execute_returns(
+    index, workload, expected
+):
+    """A and B wait in the queue together, from two connections, and
+    B's ``execute`` is held.  A's reply must arrive while B is still
+    held: no request is answered only once a neighbour has run."""
+    a, b = workload[0], workload[1]
+    b_wire = query_to_wire(b)
+    assert query_to_wire(a) != b_wire != query_to_wire(workload[2])
+
+    async def scenario():
+        async with QueryServer(index, config=ServeConfig()) as server:
+            hold_b = WorkerGate(
+                server, holds=lambda query: query_to_wire(query) == b_wire
+            )
+            async with ServeClient(*server.address) as first, ServeClient(
+                *server.address
+            ) as second:
+                async with held_worker(server, workload[2]):
+                    reply_a = asyncio.ensure_future(first.request(a))
+                    await until(lambda: len(server._queue) == 1)
+                    reply_b = asyncio.ensure_future(second.request(b))
+                    await until(lambda: len(server._queue) == 2)
+                try:
+                    await hold_b.entered()
+                    payload_a = await asyncio.wait_for(reply_a, 5)
+                    b_was_held = not reply_b.done()
+                finally:
+                    hold_b.release()
+                payload_b = await asyncio.wait_for(reply_b, 10)
+        return payload_a, b_was_held, payload_b
+
+    payload_a, b_was_held, payload_b = run(scenario())
+    assert b_was_held
+    assert payload_a["status"] == payload_b["status"] == "ok"
+    assert payload_a["matches"] == expected[0]
+    assert payload_b["matches"] == expected[1]
 
 
 def test_control_ops(index, workload):
@@ -184,6 +223,38 @@ def test_overlong_line_answers_error_and_closes_only_that_connection(
     assert stats["counters"]["error"] == 1 and stats["counters"]["ok"] == 2
 
 
+#: Malformed (a JSON string, not an object) and echoed in the error, so
+#: each ~1 KiB line costs the server a ~1 KiB response.
+UNREAD_LINE = json.dumps("x" * 1000).encode() + b"\n"
+UNREAD_FLOOD = 3000
+
+
+async def settled(server):
+    """The error tally once the server has stopped making progress."""
+    last = -1
+    while server.counters["error"] != last:
+        last = server.counters["error"]
+        await asyncio.sleep(0.1)
+    return last
+
+
+async def slow_reader(server):
+    """Connect with small buffers on both ends of the connection."""
+    sock = socket.socket()
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    sock.setblocking(False)
+    before = set(server._writers)
+    await asyncio.get_running_loop().sock_connect(sock, server.address)
+    reader, writer = await asyncio.open_connection(sock=sock)
+    while not set(server._writers) - before:
+        await asyncio.sleep(0)
+    (peer,) = set(server._writers) - before
+    peer.get_extra_info("socket").setsockopt(
+        socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+    )
+    return reader, writer
+
+
 def test_unread_pipeline_is_bounded_and_abrupt_close_drains(
     index, workload, caplog
 ):
@@ -194,38 +265,11 @@ def test_unread_pipeline_is_bounded_and_abrupt_close_drains(
     that vanishes instead leaves no slot, task or futile write behind."""
     config = ServeConfig(max_inflight=4, queue_limit=4)
     bound = config.max_inflight + config.queue_limit
-    # Malformed (a JSON string, not an object) and echoed in the error,
-    # so each ~1 KiB line costs the server a ~1 KiB response.
-    line = json.dumps("x" * 1000).encode() + b"\n"
-    flood = 3000
+    line, flood = UNREAD_LINE, UNREAD_FLOOD
     # Bytes that may sit in socket buffers (the clamped kernel buffers
     # plus asyncio's 64 KiB write high-water mark), generously.
     slack = (1 << 20) // len(line)
     assert bound + slack < flood // 2
-
-    async def settled(server):
-        """The error tally once the server has stopped making progress."""
-        last = -1
-        while server.counters["error"] != last:
-            last = server.counters["error"]
-            await asyncio.sleep(0.1)
-        return last
-
-    async def slow_reader(server):
-        """Connect with small buffers on both ends of the connection."""
-        sock = socket.socket()
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
-        sock.setblocking(False)
-        before = set(server._writers)
-        await asyncio.get_running_loop().sock_connect(sock, server.address)
-        reader, writer = await asyncio.open_connection(sock=sock)
-        while not set(server._writers) - before:
-            await asyncio.sleep(0)
-        (peer,) = set(server._writers) - before
-        peer.get_extra_info("socket").setsockopt(
-            socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
-        )
-        return reader, writer
 
     async def scenario():
         async with QueryServer(index, config=config) as server:
@@ -263,16 +307,46 @@ def test_unread_pipeline_is_bounded_and_abrupt_close_drains(
     assert "socket.send() raised exception" not in caplog.text
 
 
+def test_stop_returns_despite_a_client_that_never_reads(index, caplog):
+    """Regression: ``stop()`` hung on a connection whose client never
+    reads.  Its pump sat in ``drain()``, ``close()`` waited on a flush
+    that never came, and the cancelled handler blocked again on its
+    full response queue (asyncio also logged ``Exception in
+    callback``).  Straggler connections are now aborted."""
+
+    async def scenario():
+        server = QueryServer(
+            index, config=ServeConfig(max_inflight=4, queue_limit=4)
+        )
+        await server.start()
+        _, writer = await slow_reader(server)
+        writer.write(UNREAD_LINE * UNREAD_FLOOD)
+        await settled(server)
+        try:
+            await asyncio.wait_for(server.stop(), 8)
+        finally:
+            writer.transport.abort()
+        return server
+
+    with caplog.at_level("WARNING", logger="asyncio"):
+        server = run(scenario())
+    assert not server._handlers and not server._writers
+    assert "Exception in callback" not in caplog.text
+
+
 def test_inflight_cap_sheds(index, workload):
     async def scenario():
-        # One in-flight slot and a long coalesce window: everything
-        # after the first request is shed while the first waits.
-        config = ServeConfig(
-            max_inflight=1, queue_limit=8, coalesce_ms=50.0
-        )
+        # Two in-flight slots, one taken by the held request: the first
+        # request waits in the other and everything after it is shed.
+        config = ServeConfig(max_inflight=2, queue_limit=8)
         async with QueryServer(index, config=config) as server:
             async with ServeClient(*server.address) as client:
-                return await client.pipeline(workload[:5])
+                async with held_worker(server, workload[5]):
+                    pipelined = asyncio.ensure_future(
+                        client.pipeline(workload[:5])
+                    )
+                    await until(lambda: server.counters["shed"] == 4)
+                return await asyncio.wait_for(pipelined, 10)
 
     payloads = run(scenario())
     statuses = [p["status"] for p in payloads]
@@ -283,12 +357,17 @@ def test_inflight_cap_sheds(index, workload):
 
 def test_queue_bound_sheds(index, workload):
     async def scenario():
-        config = ServeConfig(
-            max_inflight=64, queue_limit=1, coalesce_ms=50.0
-        )
+        # One queue place behind the held request: the first request
+        # takes it and the rest are shed.
+        config = ServeConfig(max_inflight=64, queue_limit=1)
         async with QueryServer(index, config=config) as server:
             async with ServeClient(*server.address) as client:
-                return await client.pipeline(workload[:4])
+                async with held_worker(server, workload[5]):
+                    pipelined = asyncio.ensure_future(
+                        client.pipeline(workload[:4])
+                    )
+                    await until(lambda: server.counters["shed"] == 3)
+                return await asyncio.wait_for(pipelined, 10)
 
     payloads = run(scenario())
     statuses = [p["status"] for p in payloads]
@@ -299,26 +378,31 @@ def test_queue_bound_sheds(index, workload):
 
 def test_expired_deadline_times_out_without_executing(index, workload):
     async def scenario():
-        config = ServeConfig(coalesce_ms=20.0)
-        async with QueryServer(index, config=config) as server:
-            before = server.counters["batches"]
+        async with QueryServer(index, config=ServeConfig()) as server:
             async with ServeClient(*server.address) as client:
-                payload = await client.request(
-                    workload[0], deadline_ms=0.0
-                )
-            return payload, server.counters["batches"] - before
+                async with held_worker(server, workload[1]) as gate:
+                    request = asyncio.ensure_future(
+                        client.request(workload[0], deadline_ms=0.0)
+                    )
+                    await until(lambda: server._queue)
+                payload = await asyncio.wait_for(request, 10)
+            return payload, gate.executed
 
-    payload, batches = run(scenario())
+    payload, executed = run(scenario())
     assert payload["status"] == "timeout"
-    assert batches == 0
+    assert executed == 1  # the held request alone reached execute
 
 
 def test_client_query_raises_on_non_ok(index, workload):
     async def scenario():
-        config = ServeConfig(coalesce_ms=20.0)
-        async with QueryServer(index, config=config) as server:
+        async with QueryServer(index, config=ServeConfig()) as server:
             async with ServeClient(*server.address) as client:
-                await client.query(workload[0], deadline_ms=0.0)
+                async with held_worker(server, workload[1]):
+                    query = asyncio.ensure_future(
+                        client.query(workload[0], deadline_ms=0.0)
+                    )
+                    await until(lambda: server._queue)
+                await asyncio.wait_for(query, 10)
 
     with pytest.raises(ServeError, match="timeout"):
         run(scenario())
@@ -328,12 +412,17 @@ def test_serve_traces_validate_against_schema(index, workload):
     sink = MemorySink()
 
     async def scenario():
-        config = ServeConfig(
-            max_inflight=2, queue_limit=1, coalesce_ms=5.0
-        )
+        # One in-flight slot beside the held request's: of six
+        # pipelined requests the first runs and five are shed.
+        config = ServeConfig(max_inflight=2, queue_limit=8)
         async with QueryServer(index, config=config) as server:
             async with ServeClient(*server.address) as client:
-                await client.pipeline(workload[:6])
+                async with held_worker(server, workload[6]):
+                    pipelined = asyncio.ensure_future(
+                        client.pipeline(workload[:6])
+                    )
+                    await until(lambda: server.counters["shed"] == 5)
+                await asyncio.wait_for(pipelined, 10)
             await server.drain()
 
     with tracing(Tracer(sink)):
@@ -341,21 +430,15 @@ def test_serve_traces_validate_against_schema(index, workload):
     records = [json.loads(line) for line in sink.jsonl_lines()]
     validate_records(records)
     kinds = {record["kind"] for record in records}
-    assert "serve.request" in kinds
-    assert "serve.batch" in kinds
-    assert "serve.shed" in kinds
-    # Every response wrote exactly one serve.request record.
-    assert sink.count("serve.request") == 6
-    # A batch's reads are its members' reads: each serve.batch record is
-    # followed by its own ok serve.request records.
-    assert sum(r["reads"] for r in sink.of_kind("serve.batch")) > 0
-    for at, record in enumerate(records):
-        if record["kind"] == "serve.batch":
-            members = records[at + 1 : at + 1 + record["size"]]
-            assert [m["kind"] for m in members] == ["serve.request"] * len(
-                members
-            )
-            assert record["reads"] == sum(m["reads"] for m in members)
+    assert {"serve.request", "serve.shed"} <= kinds
+    # Every response wrote exactly one serve.request record: the six
+    # pipelined requests and the held one.
+    assert sink.count("serve.request") == 7
+    assert sink.count("serve.shed") == 5
+    answered = [r for r in sink.of_kind("serve.request") if r["status"] == "ok"]
+    assert len(answered) == 2
+    assert all({"reads", "matches"} <= set(r) for r in answered)
+    assert sum(r["reads"] for r in answered) > 0
 
     # Trace identity of candidate verification.  Untraced, a served
     # request verifies a posting run as one block; traced, it must emit
@@ -368,7 +451,7 @@ def test_serve_traces_validate_against_schema(index, workload):
     served_sink, reference_sink = MemorySink(), MemorySink()
 
     async def cold_then_warm():
-        async with QueryServer(index, config=ServeConfig(coalesce_ms=0.0)) as server:
+        async with QueryServer(index, config=ServeConfig()) as server:
             async with ServeClient(*server.address) as client:
                 for query in queries + queries:
                     payload = await client.query(query)
@@ -417,9 +500,7 @@ def test_measure_mode_over_the_wire(index, workload, expected):
     """The same wire protocol can run the paper's measurement protocol."""
 
     async def scenario():
-        config = ServeConfig(
-            mode="measure", pool_size=POOL_SIZE, coalesce_ms=0.0
-        )
+        config = ServeConfig(mode="measure", pool_size=POOL_SIZE)
         async with QueryServer(index, config=config) as server:
             async with ServeClient(*server.address) as client:
                 return await client.pipeline(workload[:4])
@@ -430,24 +511,22 @@ def test_measure_mode_over_the_wire(index, workload, expected):
 
 
 def test_stop_sheds_queued_requests(index, workload):
-    async def scenario():
-        config = ServeConfig(coalesce_ms=200.0)
-        server = QueryServer(index, config=config)
-        await server.start()
-        client = ServeClient(*server.address)
-        await client.connect()
-        # Queue a request, then stop before the coalesce window closes:
-        # the response must still arrive (shed or ok, never silence).
-        message = {"id": 1, **query_to_wire(workload[0])}
-        await client._send(encode_line(message))
-        await asyncio.sleep(0.01)
-        stop = asyncio.create_task(server.stop())
-        payload = await asyncio.wait_for(client._read_payload(), timeout=5.0)
-        await stop
-        await client.close()
-        return payload
+    """``stop()`` lets the executing request finish and answers the
+    queued one ``shed`` / ``shutdown`` — a reply, never silence."""
 
-    payload = run(scenario())
-    assert payload["status"] in ("ok", "shed")
-    if payload["status"] == "shed":
-        assert payload["reason"] == "shutdown"
+    async def scenario():
+        server = QueryServer(index, config=ServeConfig())
+        await server.start()
+        async with ServeClient(*server.address) as client:
+            async with held_worker(server, workload[1]) as gate:
+                queued = asyncio.ensure_future(client.request(workload[0]))
+                await until(lambda: server._queue)
+                stop = asyncio.create_task(server.stop())
+                await until(lambda: not server._running)
+            payload = await asyncio.wait_for(queued, 5.0)
+            await asyncio.wait_for(stop, 5.0)
+        return gate.reply, payload
+
+    held, payload = run(scenario())
+    assert held["status"] == "ok"
+    assert payload == {"id": 1, "status": "shed", "reason": "shutdown"}

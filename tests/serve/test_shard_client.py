@@ -19,6 +19,7 @@ from repro.serve import QueryServer, ServeClient, ServeConfig
 from repro.serve.protocol import ProtocolError, matches_to_wire, query_to_wire
 
 from tests.invindex.conftest import random_query, random_relation
+from tests.serve.gate import held_worker, until
 
 POOL_SIZE = 100
 
@@ -47,16 +48,19 @@ def test_pipeline_mixed_deadlines_shed_not_hang(index, queries):
     its deadline-free neighbours execute — the pipeline never stalls."""
 
     async def scenario():
-        config = ServeConfig(mode="measure", pool_size=POOL_SIZE,
-                             coalesce_ms=10.0)
+        config = ServeConfig(mode="measure", pool_size=POOL_SIZE)
         async with QueryServer(index, config=config) as server:
             async with ServeClient(*server.address) as client:
-                return await asyncio.wait_for(
-                    client.pipeline(
-                        queries, deadline_ms=[None, 0.0, None, 0.0]
-                    ),
-                    timeout=30.0,
-                )
+                # All four wait behind a held request, so the two with
+                # a zero deadline have expired by the time they dequeue.
+                async with held_worker(server, queries[0]):
+                    pipelined = asyncio.ensure_future(
+                        client.pipeline(
+                            queries, deadline_ms=[None, 0.0, None, 0.0]
+                        )
+                    )
+                    await until(lambda: len(server._queue) == len(queries))
+                return await asyncio.wait_for(pipelined, timeout=30.0)
 
     payloads = run(scenario())
     assert [p["status"] for p in payloads] == [
@@ -92,12 +96,10 @@ def test_floored_topk_answers_match_unfloored_below_kth(index, queries):
         assert payload["matches"] == matches_to_wire(expected.result)
 
 
-def test_requests_with_different_bounds_coalesce_and_keep_their_own(
-    index, queries
-):
-    """Pushed-down bounds are per-request data, not a reason to run
-    alone: floored top-k, ceilinged similarity top-k and plain requests
-    share one coalesced group and each is answered under its own."""
+def test_requests_with_different_bounds_keep_their_own(index, queries):
+    """Pushed-down bounds are per-request data: floored top-k,
+    ceilinged similarity top-k and plain requests arriving together on
+    their own connections are each answered under their own bounds."""
     measure = ServingExecutor(index, mode="measure", pool_size=POOL_SIZE)
     similar = [
         SimilarityTopKQuery(random_query(12, seed=500 + i), 4 + i)
@@ -121,9 +123,7 @@ def test_requests_with_different_bounds_coalesce_and_keep_their_own(
     executed = []
 
     async def scenario():
-        # One connection per request, all inside one long linger.
-        config = ServeConfig(coalesce_ms=200.0, coalesce_max=len(requests))
-        async with QueryServer(index, config=config) as server:
+        async with QueryServer(index, config=ServeConfig()) as server:
             execute = server.executor.execute
 
             def recording(query, **pushed):
@@ -147,7 +147,6 @@ def test_requests_with_different_bounds_coalesce_and_keep_their_own(
 
     payloads = run(scenario())
     assert [p["status"] for p in payloads] == ["ok"] * len(requests)
-    assert all(payloads[at]["coalesced"] > 1 for at in bounded)
     for (query, pushed), payload in zip(requests, payloads):
         own = measure.execute(query, **pushed).result
         assert payload["matches"] == matches_to_wire(own)
@@ -165,15 +164,14 @@ def test_requests_with_different_bounds_coalesce_and_keep_their_own(
     )
 
 
-def test_refused_request_fails_alone_in_its_group(index, queries):
-    """A member the index refuses at execution time (an explicit sketch
-    mode on an index built without a sketch) is answered ``"error"``;
-    the requests coalesced with it still run."""
+def test_refused_request_fails_alone(index, queries):
+    """A request the index refuses at execution time (an explicit
+    sketch mode on an index built without a sketch) is answered
+    ``"error"``; the requests arriving beside it still run."""
     similar = SimilarityTopKQuery(random_query(12, seed=600), 3)
 
     async def scenario():
-        config = ServeConfig(coalesce_ms=200.0)
-        async with QueryServer(index, config=config) as server:
+        async with QueryServer(index, config=ServeConfig()) as server:
             async with ServeClient(*server.address) as refused:
                 async with ServeClient(*server.address) as client:
                     return await asyncio.gather(
@@ -184,4 +182,3 @@ def test_refused_request_fails_alone_in_its_group(index, queries):
     error, payloads = run(scenario())
     assert error["status"] == "error" and "sketch" in error["error"]
     assert [p["status"] for p in payloads] == ["ok"] * len(queries)
-    assert {p["coalesced"] for p in payloads} == {len(queries) + 1}

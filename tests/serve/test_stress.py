@@ -23,6 +23,7 @@ from repro.serve import QueryServer, ServeClient, ServeConfig
 
 from tests.exec.test_batch import POOL_SIZE
 from tests.invindex.conftest import random_query, random_relation
+from tests.serve.gate import held_worker, until
 
 NUM_CLIENTS = 6
 QUERIES_PER_CLIENT = 8
@@ -82,8 +83,7 @@ def test_concurrent_clients_match_sequential_measurement(
             return await client.pipeline(queries)
 
     async def scenario():
-        config = ServeConfig(coalesce_ms=2.0, coalesce_max=16)
-        async with QueryServer(index, config=config) as server:
+        async with QueryServer(index, config=ServeConfig()) as server:
             results = await asyncio.gather(
                 *(one_client(server.address, s) for s in slices(workload))
             )
@@ -105,8 +105,6 @@ def test_concurrent_clients_match_sequential_measurement(
             )
     assert counters["ok"] == len(workload)
     assert counters["shed"] == counters["timeout"] == counters["error"] == 0
-    # Concurrent pipelined submission exercised coalescing.
-    assert counters["batches"] < len(workload)
 
 
 def test_overload_sheds_but_never_corrupts(index, workload, expected):
@@ -115,13 +113,16 @@ def test_overload_sheds_but_never_corrupts(index, workload, expected):
             return await client.pipeline(queries)
 
     async def scenario():
-        config = ServeConfig(
-            max_inflight=4, queue_limit=4, coalesce_ms=5.0, coalesce_max=4
-        )
+        config = ServeConfig(max_inflight=4, queue_limit=4)
         async with QueryServer(index, config=config) as server:
-            results = await asyncio.gather(
-                *(one_client(server.address, s) for s in slices(workload))
-            )
+            # The clients submit while the worker is held, so the cap
+            # turns requests away for certain.
+            async with held_worker(server, workload[0]):
+                clients = asyncio.gather(
+                    *(one_client(server.address, s) for s in slices(workload))
+                )
+                await until(lambda: server.counters["shed"] > 0)
+            results = await asyncio.wait_for(clients, 30)
             await server.drain()
             server.executor.check_quiesced()
             counters = dict(server.counters)
@@ -145,8 +146,9 @@ def test_overload_sheds_but_never_corrupts(index, workload, expected):
             if payload["status"] == "ok":
                 served_ok += 1
                 assert payload["matches"] == expected[base + offset]
-    assert served_ok == counters["ok"] > 0
+    # The held request is the one ok answer no client asked for.
+    assert served_ok == counters["ok"] - 1 > 0
     assert (
         counters["ok"] + counters["shed"] + counters["timeout"]
-        == len(workload)
+        == len(workload) + 1
     )

@@ -37,11 +37,19 @@ DIVERGENCES = ("l1", "l2", "kl", "symmetric_kl")
 THRESHOLD_SCALE = {"l1": 2.0, "l2": 1.2, "kl": 4.0, "symmetric_kl": 4.0}
 
 
-def _similarity_query(domain_size, seed, divergence, kind):
+def _similarity_query(relation, seed, divergence, kind):
+    """A random query; a threshold is drawn uniformly over the scale or,
+    half the time, at 1-2x one member's distance (where a bound that
+    over-estimates would drop a true match)."""
     rng = np.random.default_rng(seed)
-    q = random_query(domain_size, seed=seed)
+    q = random_query(len(relation.domain), seed=seed)
     if kind == "threshold":
-        threshold = float(rng.uniform(0.0, THRESHOLD_SCALE[divergence]))
+        if rng.random() < 0.5:
+            threshold = float(rng.uniform(0.0, THRESHOLD_SCALE[divergence]))
+        else:
+            member = relation.uda_of(int(rng.integers(len(relation))))
+            distance = SimilarityThresholdQuery(q, 0.0, divergence).distance(member)
+            threshold = distance * float(rng.uniform(1.0, 2.0))
         return SimilarityThresholdQuery(q, threshold, divergence)
     return SimilarityTopKQuery(q, int(rng.integers(1, 13)), divergence)
 
@@ -60,8 +68,10 @@ def _run(index, query, mode):
     kind=st.sampled_from(("threshold", "topk")),
 )
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_exact_is_bit_identical_inverted(inverted, seed, divergence, kind):
-    query = _similarity_query(40, seed, divergence, kind)
+def test_exact_is_bit_identical_inverted(
+    relation, inverted, seed, divergence, kind
+):
+    query = _similarity_query(relation, seed, divergence, kind)
     off, _ = _run(inverted, query, "off")
     exact, _ = _run(inverted, query, "exact")
     assert exact == off
@@ -73,8 +83,8 @@ def test_exact_is_bit_identical_inverted(inverted, seed, divergence, kind):
     kind=st.sampled_from(("threshold", "topk")),
 )
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_exact_is_bit_identical_pdr(pdr, seed, divergence, kind):
-    query = _similarity_query(40, seed, divergence, kind)
+def test_exact_is_bit_identical_pdr(relation, pdr, seed, divergence, kind):
+    query = _similarity_query(relation, seed, divergence, kind)
     off, _ = _run(pdr, query, "off")
     exact, _ = _run(pdr, query, "exact")
     assert exact == off
@@ -85,13 +95,13 @@ def test_exact_is_bit_identical_pdr(pdr, seed, divergence, kind):
     divergence=st.sampled_from(DIVERGENCES),
 )
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_families_agree_under_exact(inverted, pdr, seed, divergence):
+def test_families_agree_under_exact(relation, inverted, pdr, seed, divergence):
     """Both families must converge on the same exact answers.
 
     Matches only: stop reasons are an engine-level detail (the tree's
     similarity scan reports its own), asserted per-family above.
     """
-    query = _similarity_query(40, seed, divergence, "threshold")
+    query = _similarity_query(relation, seed, divergence, "threshold")
     (inv_matches, _), _ = _run(inverted, query, "exact")
     (tree_matches, _), _ = _run(pdr, query, "exact")
     assert inv_matches == tree_matches
@@ -99,11 +109,13 @@ def test_families_agree_under_exact(inverted, pdr, seed, divergence):
 
 @given(seed=st.integers(0, 2**31 - 1), divergence=st.sampled_from(DIVERGENCES))
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_approx_threshold_answers_are_a_subset(inverted, seed, divergence):
+def test_approx_threshold_answers_are_a_subset(
+    relation, inverted, seed, divergence
+):
     """Approx verifies candidates exactly, so while it may *miss*
     matches, it can never report a false one — and never a wrong
     score."""
-    query = _similarity_query(40, seed, divergence, "threshold")
+    query = _similarity_query(relation, seed, divergence, "threshold")
     (off_matches, _), _ = _run(inverted, query, "off")
     (approx_matches, _), _ = _run(inverted, query, "approx")
     assert set(approx_matches) <= set(off_matches)
@@ -120,7 +132,7 @@ def test_exact_is_bit_identical_under_faults():
         index.build_sketch()
         for seed in range(6):
             for kind in ("threshold", "topk"):
-                query = _similarity_query(30, 400 + seed, "l1", kind)
+                query = _similarity_query(relation, 400 + seed, "l1", kind)
                 off, _ = _run(index, query, "off")
                 exact, _ = _run(index, query, "exact")
                 assert exact == off
