@@ -97,41 +97,23 @@ def block_scores(
     the posting tids, and ``weighted_runs[i]`` the products
     ``q_prob * prob`` the row contributes through this list.
 
-    Returns ``(rows, tids, scores)`` sorted by ``(row, tid)`` ascending.
-    Bit-identical to per-probe verification for the same reason
-    :func:`exact_scores` is: every ``(row, tid)`` group holds exactly the
-    product multiset ``{q.p_i * u.p_i}`` over the common items, and
-    ``math.fsum`` is correctly rounded (order-independent), with a
-    direct-assignment fast path for single-occurrence groups.
+    Returns ``(rows, tids, scores)`` sorted by ``(row, tid)`` ascending:
+    :func:`exact_scores` over packed ``(row, tid)`` keys, unpacked.  So
+    it is bit-identical to per-probe verification for the same reason:
+    every ``(row, tid)`` group holds exactly the product multiset
+    ``{q.p_i * u.p_i}`` over the common items.
     """
-    if not tid_runs:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), np.empty(0, dtype=np.float64)
-    rows = np.concatenate(
-        [
-            np.full(len(tids), row, dtype=np.int64)
-            for row, tids in zip(row_runs, tid_runs)
-        ]
-    )
-    tids = np.concatenate(tid_runs)
-    products = np.concatenate(weighted_runs)
     # Composite (row, tid) key: tids are non-negative and bounded by the
     # relation size, so the packed key cannot collide or overflow int64.
-    span = int(tids.max()) + 1 if len(tids) else 1
-    keys = rows * span + tids
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    products = products[order]
-    unique_keys, starts, counts = np.unique(
-        keys, return_index=True, return_counts=True
+    span = 1 + max((int(tids.max()) for tids in tid_runs if len(tids)), default=0)
+    keys, scores = exact_scores(
+        [
+            row * span + tids.astype(np.int64, copy=False)
+            for row, tids in zip(row_runs, tid_runs)
+        ],
+        weighted_runs,
     )
-    scores = np.empty(len(unique_keys), dtype=np.float64)
-    single = counts == 1
-    scores[single] = products[starts[single]]
-    for i in np.nonzero(~single)[0].tolist():
-        start = starts[i]
-        scores[i] = math.fsum(products[start : start + counts[i]].tolist())
-    return unique_keys // span, unique_keys % span, scores
+    return keys // span, keys % span, scores
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,28 @@ Query = (
 )
 
 
+#: PEQ's threshold (Definition 3 asks for ``Pr > 0``): the smallest
+#: positive normal float32, as a Python float so a trace can encode it.
+PEQ_THRESHOLD = float(np.finfo(np.float32).tiny)
+
+
+def threshold_form(query: Query, domain_size: int):
+    """``(query vector, tau)`` for a descriptor answered as a PETQ, else ``None``.
+
+    PEQ is a threshold at :data:`PEQ_THRESHOLD`; a windowed query is its
+    :meth:`~WindowedEqualityQuery.expanded` weight vector at its own
+    threshold (Lemmas 1 and 2 hold for any non-negative weights).  Both
+    index families reduce equality descriptors through this one place.
+    """
+    if isinstance(query, EqualityThresholdQuery):
+        return query.q, query.threshold
+    if isinstance(query, EqualityQuery):
+        return query.q, PEQ_THRESHOLD
+    if isinstance(query, WindowedEqualityQuery):
+        return query.expanded(domain_size), query.threshold
+    return None
+
+
 def check_pushed_bounds(
     query: Query,
     tau_floor: float,

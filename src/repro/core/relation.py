@@ -149,13 +149,13 @@ class UncertainRelation:
         if isinstance(query, EqualityQuery):
             return self._peq(query)
         if isinstance(query, EqualityThresholdQuery):
-            return self._petq(query)
+            return self._equality_threshold(query)
         if isinstance(query, EqualityTopKQuery):
-            return self._peq_top_k(query)
+            return self._equality_top_k(query)
         if isinstance(query, SimilarityThresholdQuery):
-            return self._dstq(query)
+            return self._similarity_threshold(query)
         if isinstance(query, SimilarityTopKQuery):
-            return self._dsq_top_k(query)
+            return self._similarity_top_k(query)
         if isinstance(query, WindowedEqualityQuery):
             return self._windowed(query)
         raise QueryError(f"unsupported query type: {type(query).__name__}")
@@ -179,7 +179,7 @@ class UncertainRelation:
                 matches.append(Match(tid=tid, score=probability))
         return QueryResult(matches, stats)
 
-    def _petq(self, query: EqualityThresholdQuery) -> QueryResult:
+    def _equality_threshold(self, query: EqualityThresholdQuery) -> QueryResult:
         stats = QueryStats(candidates_examined=len(self._udas))
         matches = []
         for tid, uda in enumerate(self._udas):
@@ -188,7 +188,7 @@ class UncertainRelation:
                 matches.append(Match(tid=tid, score=probability))
         return QueryResult(matches, stats)
 
-    def _peq_top_k(self, query: EqualityTopKQuery) -> QueryResult:
+    def _equality_top_k(self, query: EqualityTopKQuery) -> QueryResult:
         stats = QueryStats(candidates_examined=len(self._udas))
         scored = []
         for tid, uda in enumerate(self._udas):
@@ -198,7 +198,7 @@ class UncertainRelation:
         scored.sort()
         return QueryResult(scored[: query.k], stats)
 
-    def _dstq(self, query: SimilarityThresholdQuery) -> QueryResult:
+    def _similarity_threshold(self, query: SimilarityThresholdQuery) -> QueryResult:
         stats = QueryStats(candidates_examined=len(self._udas))
         matches = []
         for tid, uda in enumerate(self._udas):
@@ -207,7 +207,7 @@ class UncertainRelation:
                 matches.append(Match(tid=tid, score=-distance))
         return QueryResult(matches, stats)
 
-    def _dsq_top_k(self, query: SimilarityTopKQuery) -> QueryResult:
+    def _similarity_top_k(self, query: SimilarityTopKQuery) -> QueryResult:
         stats = QueryStats(candidates_examined=len(self._udas))
         scored = [
             Match(tid=tid, score=-query.distance(uda))

@@ -32,12 +32,10 @@ from repro.core import kernels
 from repro.core.config import read_env_int
 from repro.core.exceptions import KeyNotFoundError, QueryError
 from repro.core.queries import (
-    EqualityQuery,
-    EqualityThresholdQuery,
     EqualityTopKQuery,
     Query,
-    WindowedEqualityQuery,
     check_pushed_bounds,
+    threshold_form,
 )
 from repro.core.relation import UncertainRelation
 from repro.core.results import QueryResult
@@ -624,20 +622,11 @@ class ProbabilisticInvertedIndex:
         self, runner, query: Query, tau_floor: float = 0.0
     ) -> QueryResult:
         """Dispatch ``query`` to the right entry point of ``runner``."""
-        if isinstance(query, EqualityThresholdQuery):
-            return runner.threshold(self, query.q, query.threshold)
         if isinstance(query, EqualityTopKQuery):
             return runner.top_k(self, query.q, query.k, tau_floor=tau_floor)
-        if isinstance(query, EqualityQuery):
-            # PEQ is a threshold query at the smallest representable
-            # positive probability.
-            return runner.threshold(self, query.q, np.finfo(np.float32).tiny)
-        if isinstance(query, WindowedEqualityQuery):
-            # Ordered-domain windowed equality: the expanded weight
-            # vector turns the query into a plain threshold search.
-            return runner.threshold(
-                self, query.expanded(self.domain_size), query.threshold
-            )
+        reduced = threshold_form(query, self.domain_size)
+        if reduced is not None:
+            return runner.threshold(self, *reduced)
         raise QueryError(
             "the inverted index answers equality queries; got "
             f"{type(query).__name__}"

@@ -39,9 +39,10 @@ def _spec(required: dict[str, type], optional: dict[str, type] | None = None) ->
 
 #: Every event kind the instrumentation may emit.  Field vocabulary:
 #: ``page_id``/``tag`` are physical-page coordinates; ``strategy`` is an
-#: equality-strategy name; ``bound``/``tau`` are the probability bound
-#: and threshold at a decision point; ``decode_kind``/``join_kind``
-#: avoid colliding with the record-level ``kind`` discriminator.
+#: equality-strategy name; ``bound``/``tau`` are the score bound and
+#: threshold at a decision point (a probability, or ``-divergence``);
+#: ``decode_kind``/``join_kind`` avoid colliding with the record-level
+#: ``kind`` discriminator.
 SCHEMA: dict[str, RecordSpec] = {
     # -- storage layer ------------------------------------------------------
     "disk.read": _spec({"page_id": int, "tag": str}),
@@ -74,8 +75,10 @@ SCHEMA: dict[str, RecordSpec] = {
     "nra.resolve": _spec({"discarded": int, "confirmed": int, "unresolved": int}),
     # -- PDR-tree -----------------------------------------------------------
     "pdr.visit": _spec({"page_id": int, "node": str}),
+    # bound/tau are on the Match.score scale (similarity: -divergence);
+    # tau is absent while a top-k cut is still -inf (JSON has no inf).
     "pdr.verdict": _spec(
-        {"child": int, "bound": float, "tau": float, "verdict": str}
+        {"child": int, "bound": float, "verdict": str}, {"tau": float}
     ),
     # -- joins --------------------------------------------------------------
     "join.begin": _spec({"join_kind": str}, {"threshold": float, "k": int}),

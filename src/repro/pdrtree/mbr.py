@@ -57,14 +57,9 @@ class BoundaryVector:
         """The paper's L1 area measure ``sum_i v_i``."""
         return float(self.values.sum())
 
-    def area_increase(self, items: np.ndarray, values: np.ndarray) -> float:
-        """Growth in L1 area if this boundary absorbed the given vector.
-
-        Equals ``sum_i max(0, u_i - v_i)`` — zero when the vector already
-        fits inside the boundary.
-        """
-        if len(items) == 0:
-            return 0.0
+    def deficit(self, items: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Per-component excess ``max(0, u_i - v_i)`` of a vector over this
+        boundary (``items`` in scheme space, repeats allowed)."""
         if len(self.items) == 0:
             current = np.zeros(len(items))
         else:
@@ -73,7 +68,12 @@ class BoundaryVector:
             )
             matched = self.items[positions] == items
             current = np.where(matched, self.values[positions], 0.0)
-        return float(np.maximum(values - current, 0.0).sum())
+        return np.maximum(values - current, 0.0)
+
+    def area_increase(self, items: np.ndarray, values: np.ndarray) -> float:
+        """Growth in L1 area if this boundary absorbed the given vector:
+        the summed :meth:`deficit`, zero when the vector already fits."""
+        return float(self.deficit(items, values).sum())
 
     def expanded(self, items: np.ndarray, values: np.ndarray) -> "BoundaryVector":
         """A new boundary that also dominates the given vector."""

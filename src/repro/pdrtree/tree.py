@@ -17,19 +17,30 @@ paper evaluates or proposes:
   hybrid combination;
 * ``fold_size`` / ``bits`` — the two orthogonal MBR compression schemes.
 
-Top-k queries raise their threshold dynamically and visit children in
-greedy descending-bound order ("we can upgrade our threshold quickly by
-finding better candidates at the beginning of the search").
+Every query runs as one of two walks over a per-query probe
+(:class:`_Probe`): a node bound that caps the ``Match.score`` of every
+member below a node, a leaf scorer, and the sketch's lower bounds if
+any.  The *threshold walk* is a depth-first search that descends iff
+the bound reaches ``tau``.  The *top-k walk* visits children best bound
+first and raises its cut as answers arrive ("we can upgrade our
+threshold quickly by finding better candidates at the beginning of the
+search").  PEQ, PETQ and windowed queries take the threshold walk,
+PEQ-top-k the top-k walk.
 
-As an extension past the paper's equality focus, the tree also answers
-distributional-similarity queries (DSTQ / DSQ-top-k) for L1 and L2 with
-a sound MBR lower bound (every other divergence, the KL family, gets no
-node bound and falls back to a full sweep).
+As an extension past the paper's equality focus, the same two walks
+answer distributional-similarity queries (DSTQ / DSQ-top-k) on the
+score scale ``-distance``: the node bound is the negated L1 / L2 deficit
+of the query over the boundary, sound because every member lies under
+the boundary componentwise (every other divergence, the KL family, gets no node bound and
+falls back to a full sweep).  An attached sketch
+(docs/sketch-prefilter.md) skips members and whole leaf pages whose
+divergence lower bound cannot reach the walk's cut.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,14 +51,12 @@ from repro.core.exceptions import (
     RecordTooLargeError,
 )
 from repro.core.queries import (
-    EqualityQuery,
-    EqualityThresholdQuery,
     EqualityTopKQuery,
     Query,
     SimilarityThresholdQuery,
     SimilarityTopKQuery,
-    WindowedEqualityQuery,
     check_pushed_bounds,
+    threshold_form,
 )
 from repro.core.relation import UncertainRelation
 from repro.core.results import Match, QueryResult, QueryStats
@@ -73,6 +82,13 @@ from repro.pdrtree.node import (
     node_kind,
 )
 from repro.pdrtree.split import split_objects
+from repro.sketch import resolve_sketch
+from repro.sketch.search import (
+    NO_SKETCH_ERROR,
+    emit_probe,
+    emit_prune,
+    emit_verify,
+)
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager
 
@@ -108,6 +124,67 @@ class PDRTreeConfig:
                 f"clustering divergence must be l1, l2 or kl; got "
                 f"{self.divergence!r}"
             )
+
+
+@dataclass(frozen=True)
+class _Probe:
+    """One query's view of the tree, all on the ``Match.score`` scale.
+
+    Both walks read only this, so equality and similarity share one
+    pruning rule (Lemma 2) and one top-k policy.
+    """
+
+    #: Upper bound on the score of every member below a node boundary.
+    bound: Callable[[BoundaryVector], float]
+    #: A member's exact score from its ``(items, probs)``.
+    score: Callable[[np.ndarray, np.ndarray], float]
+    #: The score a top-k answer must strictly exceed.
+    least: float
+    #: The sketch's divergence lower bounds per tid and per leaf page
+    #: (:meth:`PDRTree._sketch_plan`); ``None`` without a sketch.
+    lb_of: dict[int, float] | None = None
+    leaf_min: dict[int, float] | None = None
+    #: ``-div_ceiling``: the least score the sketch cut ever admits.
+    sketch_floor: float = -math.inf
+
+    def skips_leaf(self, page_id: int, cut: float) -> bool:
+        """Whether the sketch rules a whole leaf page out at ``cut``."""
+        if self.leaf_min is None:
+            return False
+        return _sketch_skips(self.leaf_min.get(page_id, -math.inf), cut)
+
+
+def _sketch_skips(lower: float, cut: float) -> bool:
+    """Whether a divergence lower bound rules a member (or leaf) out.
+
+    ``-lower`` bounds the score from above, so the member cannot reach
+    ``cut`` when it is strictly below it.  ``+inf`` marks an approx-mode
+    non-candidate, skipped whatever the cut — even ``-inf``, the cut of
+    a top-k walk that holds fewer than k answers.
+    """
+    return lower == math.inf or -lower < cut
+
+
+def _similarity_bound(
+    boundary: BoundaryVector,
+    q_probs: np.ndarray,
+    folded: np.ndarray,
+    divergence: str,
+) -> float:
+    """A lower bound on the divergence from q to any member UDA.
+
+    Every member satisfies ``u_i <= boundary[f(i)]``, so
+    ``|q_i - u_i| >= max(0, q_i - boundary[f(i)])`` componentwise.
+    That deficit bounds L1 and L2 only; every other divergence (KL,
+    symmetric KL) gets 0, i.e. no pruning.
+    """
+    divergence = divergence.lower()
+    if divergence not in ("l1", "l2"):
+        return 0.0
+    deficit = boundary.deficit(folded, q_probs)
+    if divergence == "l1":
+        return float(deficit.sum())
+    return float(np.sqrt(np.square(deficit).sum()))
 
 
 class PDRTree:
@@ -559,15 +636,14 @@ class PDRTree:
             self._pool.flush_all()
 
     def _sketch_plan(self, query, mode: str):
-        """Per-tid lower bounds driving a sketch-assisted traversal.
+        """Per-tid divergence lower bounds driving a sketch-assisted walk.
 
         Returns ``(lb_of_tid, min_lb_of_leaf)`` or ``(None, None)`` in
         ``off`` mode.  A tid the sketch does not know gets ``-inf`` in
-        exact mode (never skipped); in approx mode non-candidates get
-        ``+inf`` (skipped — that is the bounded-recall trade).
+        exact mode (never skipped).  Approx mode is a candidate set, not
+        bounds: non-candidates get ``+inf``, which :func:`_sketch_skips`
+        skips whatever the cut (that is the bounded-recall trade).
         """
-        from repro.sketch.search import NO_SKETCH_ERROR, emit_probe, emit_prune
-
         if mode == "off":
             return None, None
         if self.sketch is None:
@@ -610,16 +686,16 @@ class PDRTree:
         :meth:`ProbabilisticInvertedIndex.execute
         <repro.invindex.index.ProbabilisticInvertedIndex.execute>`
         shares, so callers forward what they were given; the tree has
-        one traversal per query kind, so ``strategy`` must be ``None``.
+        one walk per query shape, so ``strategy`` must be ``None``.
 
         ``tau_floor`` is an externally supplied lower bound on the
         caller's global k-th score (the rank-join / shard-coordinator
-        elevation): the top-k traversal prunes against
+        elevation): the top-k walk prunes against
         ``max(local tau_k, tau_floor)`` and may omit matches scoring
         strictly below the floor.  Only meaningful for
         :class:`EqualityTopKQuery`; must be ``0.0`` for every other
-        descriptor, and at ``0.0`` the traversal is bit-identical to
-        the classic one.
+        descriptor, and at ``0.0`` the walk is bit-identical to the
+        classic one.
 
         ``sketch`` / ``div_ceiling`` are the similarity-query analogs:
         ``sketch`` overrides the resolved ``REPRO_SKETCH`` mode, and
@@ -629,8 +705,6 @@ class PDRTree:
         are rejected on non-similarity descriptors
         (:func:`~repro.core.queries.check_pushed_bounds`).
         """
-        from repro.sketch import resolve_sketch
-
         if strategy is not None:
             raise QueryError("PDR-tree takes no search strategy")
         similarity = check_pushed_bounds(query, tau_floor, sketch, div_ceiling)
@@ -652,306 +726,175 @@ class PDRTree:
     def _dispatch(
         self,
         query: Query,
-        tau_floor: float = 0.0,
-        sketch_mode: str = "off",
-        div_ceiling: float | None = None,
+        tau_floor: float,
+        sketch_mode: str,
+        div_ceiling: float | None,
     ) -> QueryResult:
-        """Route ``query`` to the matching traversal."""
-        if isinstance(query, EqualityThresholdQuery):
-            return self._petq(query.q, query.threshold)
-        if isinstance(query, EqualityTopKQuery):
-            return self._peq_top_k(query.q, query.k, tau_floor)
-        if isinstance(query, EqualityQuery):
-            return self._petq(query.q, float(np.finfo(np.float32).tiny))
-        if isinstance(query, SimilarityThresholdQuery):
-            return self._dstq(query, sketch_mode)
-        if isinstance(query, SimilarityTopKQuery):
-            return self._dsq_top_k(query, sketch_mode, div_ceiling)
-        if isinstance(query, WindowedEqualityQuery):
-            # Lemma 2 holds for any non-negative weight vector, so the
-            # expanded windowed query prunes like ordinary PETQ.
-            return self._petq(query.expanded(self.domain_size), query.threshold)
-        raise QueryError(f"unsupported query type: {type(query).__name__}")
+        """Route ``query`` to its walk, on the ``Match.score`` scale.
 
-    def _petq(self, q: UncertainAttribute, tau: float) -> QueryResult:
-        """Depth-first PETQ with Lemma 2 pruning."""
-        stats = QueryStats()
+        Similarity scores are ``-distance``, so a DSTQ threshold becomes
+        ``tau = -threshold`` (IEEE negation is exact: nothing moves).
+        """
+        if isinstance(query, EqualityTopKQuery):
+            return self._top_k_walk(
+                self._equality_probe(query.q), query.k, tau_floor
+            )
+        if isinstance(query, SimilarityThresholdQuery):
+            probe = self._similarity_probe(query, sketch_mode)
+            return self._threshold_walk(probe, -query.threshold)
+        if isinstance(query, SimilarityTopKQuery):
+            probe = self._similarity_probe(query, sketch_mode, div_ceiling)
+            return self._top_k_walk(probe, query.k, -math.inf)
+        reduced = threshold_form(query, self.domain_size)
+        if reduced is None:
+            raise QueryError(f"unsupported query type: {type(query).__name__}")
+        q, tau = reduced
+        return self._threshold_walk(self._equality_probe(q), tau)
+
+    def _equality_probe(self, q) -> _Probe:
+        """Lemma 2's ``<<c.v, q>>`` bound over the equality score."""
         q_items, q_values = self.codec.fold_query(q.items, q.probs)
-        matches: list[Match] = []
+        return _Probe(
+            bound=lambda boundary: boundary.dot(q_items, q_values),
+            score=lambda items, probs: q.equality_with_arrays(items, probs),
+            least=0.0,
+        )
+
+    def _similarity_probe(
+        self, query, sketch_mode: str, div_ceiling: float | None = None
+    ) -> _Probe:
+        """The negated divergence bound and score, plus the sketch's plan."""
+        lb_of, leaf_min = self._sketch_plan(query, sketch_mode)
+        q = query.q
+        folded = np.array([self.codec.fold_item(int(i)) for i in q.items])
+        divergence = query.divergence
+        return _Probe(
+            bound=lambda boundary: -_similarity_bound(
+                boundary, q.probs, folded, divergence
+            ),
+            score=lambda items, probs: -query.distance_arrays(items, probs),
+            least=-math.inf,
+            lb_of=lb_of,
+            leaf_min=leaf_min,
+            sketch_floor=-math.inf if div_ceiling is None else -div_ceiling,
+        )
+
+    # -- the two walks ----------------------------------------------------------------
+
+    def _visit(self, page_id: int, stats: QueryStats) -> bool:
+        """Fetch and count one node; returns whether it is internal."""
+        page = self._pool.fetch_page(page_id)
+        stats.nodes_visited += 1
+        internal = node_kind(page) == PDR_INTERNAL
+        METRICS.inc("pdr.visit")
         tracer = _trace.ACTIVE
+        if tracer is not None:
+            tracer.event(
+                "pdr.visit",
+                page_id=page_id,
+                node="internal" if internal else "leaf",
+            )
+        return internal
+
+    @staticmethod
+    def _verdict(child: int, bound: float, tau: float, descend: bool) -> None:
+        """One Lemma 2 decision; ``tau`` is left out while it is ``-inf``."""
+        verdict = "descend" if descend else "prune"
+        METRICS.inc("pdr.verdict." + verdict)
+        tracer = _trace.ACTIVE
+        if tracer is not None:
+            cut = {} if tau == -math.inf else {"tau": tau}
+            tracer.event(
+                "pdr.verdict", child=child, bound=bound, verdict=verdict, **cut
+            )
+
+    def _scan_leaf(self, probe: _Probe, page_id: int, cut: float, stats):
+        """Score a leaf's members, less those the sketch rules out at ``cut``.
+
+        Yields ``(tid, score)``; every yielded member is one verification.
+        """
+        lb_of = probe.lb_of
+        for entry in self._get_leaf(page_id):
+            if lb_of is not None:
+                if _sketch_skips(lb_of.get(entry.tid, -math.inf), cut):
+                    continue
+                emit_verify(entry.tid)
+            stats.candidates_examined += 1
+            yield entry.tid, probe.score(entry.items, entry.probs)
+
+    def _threshold_walk(self, probe: _Probe, tau: float) -> QueryResult:
+        """Depth-first search for every member scoring at least ``tau``.
+
+        Lemma 2: a child whose bound falls below ``tau`` holds no answer.
+        """
+        stats = QueryStats()
+        matches: list[Match] = []
         stack = [self.root_page_id]
         while stack:
             page_id = stack.pop()
-            page = self._pool.fetch_page(page_id)
-            stats.nodes_visited += 1
-            kind = node_kind(page)
-            METRICS.inc("pdr.visit")
-            if tracer is not None:
-                tracer.event(
-                    "pdr.visit",
-                    page_id=page_id,
-                    node="internal" if kind == PDR_INTERNAL else "leaf",
-                )
-            if kind == PDR_INTERNAL:
+            if probe.skips_leaf(page_id, tau):
+                continue  # the whole leaf page is skipped unread
+            if self._visit(page_id, stats):
                 for entry in self._get_internal(page_id):
-                    bound = entry.boundary.dot(q_items, q_values)
+                    bound = probe.bound(entry.boundary)
                     descend = bound >= tau - EPSILON
-                    METRICS.inc(
-                        "pdr.verdict.descend" if descend else "pdr.verdict.prune"
-                    )
-                    if tracer is not None:
-                        tracer.event(
-                            "pdr.verdict",
-                            child=entry.child_id,
-                            bound=bound,
-                            tau=tau,
-                            verdict="descend" if descend else "prune",
-                        )
+                    self._verdict(entry.child_id, bound, tau, descend)
                     if descend:
                         stack.append(entry.child_id)
             else:
-                for entry in self._get_leaf(page_id):
-                    stats.candidates_examined += 1
-                    score = q.equality_with_arrays(entry.items, entry.probs)
+                for tid, score in self._scan_leaf(probe, page_id, tau, stats):
                     if score >= tau:
-                        matches.append(Match(tid=entry.tid, score=score))
+                        matches.append(Match(tid=tid, score=score))
         return QueryResult(matches, stats)
 
-    def _peq_top_k(
-        self, q: UncertainAttribute, k: int, tau_floor: float = 0.0
-    ) -> QueryResult:
+    def _top_k_walk(self, probe: _Probe, k: int, floor: float) -> QueryResult:
         """Greedy depth-first top-k with a dynamically raised threshold.
 
-        ``tau_floor`` elevates the pruning threshold to
-        ``max(local tau_k, tau_floor)`` so Lemma 2 can fire before k
-        local results exist; a subtree pruned this way holds only
-        members scoring below the floor, which the caller's merge
-        discards anyway.  At ``0.0`` every branch condition reduces to
-        the classic traversal bit-for-bit.
+        Children are visited best bound first; the cut is the k-th score
+        held (``probe.least`` until k are held), raised to ``floor`` —
+        the caller's elevation, which lets Lemma 2 fire before k local
+        answers exist.  A subtree pruned this way holds only members
+        scoring below the floor, which the caller's merge discards.
         """
         stats = QueryStats()
-        q_items, q_values = self.codec.fold_query(q.items, q.probs)
         found: list[Match] = []
 
+        def cut() -> float:
+            held = found[k - 1].score if len(found) >= k else probe.least
+            return held if held > floor else floor
+
+        def sketch_cut() -> float:
+            # Only valid while ``found`` is sorted (leaf visits sort on
+            # exit), so leaves freeze it before appending: a frozen cut
+            # is never above the live one, which can only under-skip.
+            return max(cut(), probe.sketch_floor)
+
         def visit(page_id: int) -> None:
-            page = self._pool.fetch_page(page_id)
-            stats.nodes_visited += 1
-            kind = node_kind(page)
-            METRICS.inc("pdr.visit")
-            tracer = _trace.ACTIVE
-            if tracer is not None:
-                tracer.event(
-                    "pdr.visit",
-                    page_id=page_id,
-                    node="internal" if kind == PDR_INTERNAL else "leaf",
-                )
-            if kind == PDR_INTERNAL:
+            if probe.skips_leaf(page_id, sketch_cut()):
+                return  # the whole leaf page is skipped unread
+            if self._visit(page_id, stats):
                 scored = [
-                    (entry.boundary.dot(q_items, q_values), entry.child_id)
+                    (probe.bound(entry.boundary), entry.child_id)
                     for entry in self._get_internal(page_id)
                 ]
                 scored.sort(key=lambda pair: -pair[0])
                 for idx, (bound, child_id) in enumerate(scored):
-                    tau_k = found[k - 1].score if len(found) >= k else 0.0
-                    tau_eff = tau_k if tau_k > tau_floor else tau_floor
-                    if (
-                        len(found) >= k or tau_floor > 0.0
-                    ) and bound < tau_eff - EPSILON:
+                    tau = cut()
+                    if bound < tau - EPSILON:
                         # Bounds descend: this sibling and every later one
-                        # prune under the threshold frozen at this moment.
-                        METRICS.inc("pdr.verdict.prune", len(scored) - idx)
-                        if tracer is not None:
-                            for later_bound, later_child in scored[idx:]:
-                                tracer.event(
-                                    "pdr.verdict",
-                                    child=later_child,
-                                    bound=later_bound,
-                                    tau=tau_eff,
-                                    verdict="prune",
-                                )
+                        # prune under the cut frozen at this moment.
+                        for later_bound, later_child in scored[idx:]:
+                            self._verdict(later_child, later_bound, tau, False)
                         break
-                    METRICS.inc("pdr.verdict.descend")
-                    if tracer is not None:
-                        tracer.event(
-                            "pdr.verdict",
-                            child=child_id,
-                            bound=bound,
-                            tau=tau_eff,
-                            verdict="descend",
-                        )
+                    self._verdict(child_id, bound, tau, True)
                     visit(child_id)
             else:
-                for entry in self._get_leaf(page_id):
-                    stats.candidates_examined += 1
-                    score = q.equality_with_arrays(entry.items, entry.probs)
-                    if score > 0.0:
-                        found.append(Match(tid=entry.tid, score=score))
+                frozen = sketch_cut()
+                for tid, score in self._scan_leaf(probe, page_id, frozen, stats):
+                    if score > probe.least:
+                        found.append(Match(tid=tid, score=score))
                 found.sort()
                 del found[max(k, 0) + 64 :]  # keep a slack buffer sorted
-
-        visit(self.root_page_id)
-        found.sort()
-        return QueryResult(found[:k], stats)
-
-    # -- similarity queries (extension) -----------------------------------------------
-
-    def _similarity_bound(
-        self,
-        boundary: BoundaryVector,
-        q_items: np.ndarray,
-        q_probs: np.ndarray,
-        folded: np.ndarray,
-        divergence: str,
-    ) -> float:
-        """A lower bound on the divergence from q to any member UDA.
-
-        Every member satisfies ``u_i <= boundary[f(i)]``, so
-        ``|q_i - u_i| >= max(0, q_i - boundary[f(i)])`` componentwise.
-        That deficit bounds L1 and L2 only; every other divergence (KL,
-        symmetric KL) gets 0, i.e. no pruning.
-        """
-        divergence = divergence.lower()
-        if divergence not in ("l1", "l2"):
-            return 0.0
-        positions = np.searchsorted(boundary.items, folded)
-        positions = np.clip(positions, 0, max(len(boundary.items) - 1, 0))
-        if len(boundary.items) > 0:
-            matched = boundary.items[positions] == folded
-            bounds = np.where(matched, boundary.values[positions], 0.0)
-        else:
-            bounds = np.zeros(len(folded))
-        deficit = np.maximum(q_probs - bounds, 0.0)
-        if divergence == "l1":
-            return float(deficit.sum())
-        return float(np.sqrt(np.square(deficit).sum()))
-
-    def _dstq(
-        self, query: SimilarityThresholdQuery, sketch_mode: str = "off"
-    ) -> QueryResult:
-        from repro.sketch.search import emit_verify
-
-        stats = QueryStats()
-        q = query.q
-        lb_of, leaf_min = self._sketch_plan(query, sketch_mode)
-        folded = np.array([self.codec.fold_item(int(i)) for i in q.items])
-        matches: list[Match] = []
-        stack = [self.root_page_id]
-        tracer = _trace.ACTIVE
-        while stack:
-            page_id = stack.pop()
-            if (
-                leaf_min is not None
-                and leaf_min.get(page_id, -math.inf) > query.threshold
-            ):
-                # Every member's lower bound strictly exceeds the
-                # threshold: the whole leaf page is skipped unread.
-                continue
-            page = self._pool.fetch_page(page_id)
-            stats.nodes_visited += 1
-            kind = node_kind(page)
-            METRICS.inc("pdr.visit")
-            if tracer is not None:
-                tracer.event(
-                    "pdr.visit",
-                    page_id=page_id,
-                    node="internal" if kind == PDR_INTERNAL else "leaf",
-                )
-            if kind == PDR_INTERNAL:
-                for entry in self._get_internal(page_id):
-                    bound = self._similarity_bound(
-                        entry.boundary, q.items, q.probs, folded,
-                        query.divergence,
-                    )
-                    if bound <= query.threshold + EPSILON:
-                        stack.append(entry.child_id)
-            else:
-                for entry in self._get_leaf(page_id):
-                    if (
-                        lb_of is not None
-                        and lb_of.get(entry.tid, -math.inf) > query.threshold
-                    ):
-                        continue
-                    stats.candidates_examined += 1
-                    if lb_of is not None:
-                        emit_verify(entry.tid)
-                    dist = query.distance_arrays(entry.items, entry.probs)
-                    if dist <= query.threshold:
-                        matches.append(Match(tid=entry.tid, score=-dist))
-        return QueryResult(matches, stats)
-
-    def _dsq_top_k(
-        self,
-        query: SimilarityTopKQuery,
-        sketch_mode: str = "off",
-        div_ceiling: float | None = None,
-    ) -> QueryResult:
-        from repro.sketch.search import emit_verify
-
-        stats = QueryStats()
-        q = query.q
-        k = query.k
-        lb_of, leaf_min = self._sketch_plan(query, sketch_mode)
-        ceiling = math.inf if div_ceiling is None else div_ceiling
-        folded = np.array([self.codec.fold_item(int(i)) for i in q.items])
-        found: list[Match] = []
-
-        def sketch_cut() -> float:
-            # The distance above which a sketched lower bound certifies
-            # a member (or whole leaf) cannot enter the answer, even on
-            # a (distance, tid) tie — so found[:k] evolves exactly as in
-            # the unfiltered traversal.  Only valid while ``found`` is
-            # sorted (leaf visits sort on exit), so callers freeze it
-            # before appending: a frozen cut is never below the live
-            # one, which can only under-prune, never mis-prune.
-            if len(found) >= k:
-                return min(ceiling, -found[k - 1].score)
-            return ceiling
-
-        def visit(page_id: int) -> None:
-            if leaf_min is not None:
-                lower = leaf_min.get(page_id)
-                if lower is not None and lower > sketch_cut():
-                    return  # whole leaf page skipped unread
-            page = self._pool.fetch_page(page_id)
-            stats.nodes_visited += 1
-            kind = node_kind(page)
-            METRICS.inc("pdr.visit")
-            tracer = _trace.ACTIVE
-            if tracer is not None:
-                tracer.event(
-                    "pdr.visit",
-                    page_id=page_id,
-                    node="internal" if kind == PDR_INTERNAL else "leaf",
-                )
-            if kind == PDR_INTERNAL:
-                scored = [
-                    (
-                        self._similarity_bound(
-                            entry.boundary, q.items, q.probs, folded,
-                            query.divergence,
-                        ),
-                        entry.child_id,
-                    )
-                    for entry in self._get_internal(page_id)
-                ]
-                scored.sort(key=lambda pair: pair[0])
-                for bound, child_id in scored:
-                    tau_k = -found[k - 1].score if len(found) >= k else math.inf
-                    if len(found) >= k and bound > tau_k + EPSILON:
-                        break
-                    visit(child_id)
-            else:
-                cut = sketch_cut() if lb_of is not None else math.inf
-                for entry in self._get_leaf(page_id):
-                    if lb_of is not None:
-                        if lb_of.get(entry.tid, -math.inf) > cut:
-                            continue
-                        emit_verify(entry.tid)
-                    stats.candidates_examined += 1
-                    dist = query.distance_arrays(entry.items, entry.probs)
-                    found.append(Match(tid=entry.tid, score=-dist))
-                found.sort()
-                del found[max(k, 0) + 64 :]
 
         visit(self.root_page_id)
         found.sort()

@@ -159,6 +159,18 @@ class TestSchemaValidation:
                 _ok("pdr.verdict", child=1, bound=0.5, tau=0.1, verdict="maybe")
             )
 
+    def test_pdr_verdict_tau_is_optional(self):
+        # A similarity top-k walk holding fewer than k answers has a cut
+        # of -inf, which JSON cannot encode: the record omits tau.
+        validate_record(
+            _ok("pdr.verdict", child=1, bound=-0.25, verdict="descend")
+        )
+        with pytest.raises(TraceSchemaError, match="expected float"):
+            validate_record(
+                _ok("pdr.verdict", child=1, bound=-0.25, tau="-inf",
+                    verdict="descend")
+            )
+
     @pytest.mark.parametrize("seq", [0, -1, True, None, "1"])
     def test_bad_seq_rejected(self, seq):
         with pytest.raises(TraceSchemaError, match="seq"):

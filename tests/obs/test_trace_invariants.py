@@ -9,7 +9,9 @@ asserts properties of the emitted event stream:
   exhaustive ``inv_index_search`` on the same query;
 * every buffer-pool miss corresponds to exactly one physical disk read;
 * every PDR-tree descend/prune verdict is consistent with Lemma 2, and
-  the traversal only visits pages it previously decided to descend into.
+  the traversal only visits pages it previously decided to descend into
+  — for equality and similarity walks alike;
+* a traced PEQ encodes to valid JSONL on both index families.
 
 Traces are captured with a fresh 100-frame buffer pool per execution
 (the paper's measurement protocol) and a zero fault plan, so the streams
@@ -18,14 +20,21 @@ are deterministic.
 
 import pytest
 
-from repro.core import EqualityThresholdQuery, EqualityTopKQuery
+from repro.core import (
+    EqualityQuery,
+    EqualityThresholdQuery,
+    EqualityTopKQuery,
+    SimilarityThresholdQuery,
+    SimilarityTopKQuery,
+)
 from repro.core.joins import petj
 from repro.invindex import STRATEGIES, ProbabilisticInvertedIndex
-from repro.obs.schema import PDR_VERDICTS, validate_records
-from repro.obs.trace import MemorySink, Tracer, tracing
+from repro.obs.schema import PDR_VERDICTS, validate_jsonl, validate_records
+from repro.obs.trace import MemorySink, Tracer, tracing, tracing_to_path
 from repro.pdrtree import PDRTree
 from repro.pdrtree.tree import EPSILON
 from repro.storage import BufferPool, FaultPlan, fault_plan
+from repro.storage.disk import DiskManager
 
 from tests.invindex.conftest import random_query, random_relation
 
@@ -34,6 +43,7 @@ DOMAIN_SIZE = 20
 QUERY_SEEDS = range(6)
 TAUS = (0.05, 0.1, 0.3)
 K = 5
+DIVERGENCES = ("l1", "l2", "kl", "symmetric_kl")
 
 
 @pytest.fixture(scope="module")
@@ -55,15 +65,24 @@ def tree(relation):
     return built
 
 
-def run_traced(index, query, strategy=None):
+@pytest.fixture(scope="module")
+def sketched_tree(relation):
+    # Small pages make a deep tree whose leaf boundaries are tight enough
+    # for the L1/L2 deficit bound to prune.
+    built = PDRTree(len(relation.domain), disk=DiskManager(page_size=1024))
+    built.build(relation)
+    built.build_sketch()
+    return built
+
+
+def run_traced(index, query, strategy=None, **execute_kwargs):
     """Execute ``query`` on a fresh 100-frame pool, returning the trace."""
     index.pool = BufferPool(index.disk, capacity=100)
     sink = MemorySink()
+    if strategy is not None:
+        execute_kwargs["strategy"] = strategy
     with fault_plan(FaultPlan()), tracing(Tracer(sink)):
-        if strategy is not None:
-            result = index.execute(query, strategy=strategy)
-        else:
-            result = index.execute(query)
+        result = index.execute(query, **execute_kwargs)
     validate_records(sink.records)
     return sink, result
 
@@ -72,6 +91,17 @@ def threshold_queries():
     for seed in QUERY_SEEDS:
         for tau in TAUS:
             yield EqualityThresholdQuery(random_query(DOMAIN_SIZE, seed), tau)
+
+
+def similarity_queries(relation):
+    """DSTQ at the 2K-th nearest distance and DSQ-top-K, every divergence."""
+    for seed in QUERY_SEEDS:
+        q = random_query(DOMAIN_SIZE, seed)
+        for divergence in DIVERGENCES:
+            nearest = relation.execute(SimilarityTopKQuery(q, 2 * K, divergence))
+            threshold = -nearest.matches[-1].score
+            yield SimilarityThresholdQuery(q, threshold, divergence)
+            yield SimilarityTopKQuery(q, K, divergence)
 
 
 def posting_reads(sink):
@@ -251,6 +281,49 @@ class TestPDRTreeVerdicts:
             root = visits[0]["page_id"]
             for visit in visits[1:]:
                 assert visit["page_id"] in descended or visit["page_id"] == root
+
+
+    @pytest.mark.parametrize("sketch", ["off", "exact"])
+    def test_similarity_verdicts_obey_lemma2(
+        self, relation, sketched_tree, sketch
+    ):
+        """Similarity walks decide on the score scale (``-divergence``)
+        under the same rule, and visit only pages they descended into."""
+        prunes = 0
+        for query in similarity_queries(relation):
+            sink, _ = run_traced(sketched_tree, query, sketch=sketch)
+            verdicts = sink.of_kind("pdr.verdict")
+            for verdict in verdicts:
+                assert verdict["bound"] <= 0.0
+                if verdict["verdict"] == "descend":
+                    if "tau" in verdict:
+                        assert verdict["bound"] >= verdict["tau"] - EPSILON
+                else:
+                    prunes += 1
+                    assert verdict["bound"] < verdict["tau"]
+            descended = {v["child"] for v in verdicts if v["verdict"] == "descend"}
+            visits = sink.of_kind("pdr.visit")
+            assert visits[0]["page_id"] == sketched_tree.root_page_id
+            for visit in visits[1:]:
+                assert visit["page_id"] in descended
+        assert prunes > 0
+
+
+class TestTracedEquality:
+    @pytest.mark.parametrize("strategy", [None, *ALL_STRATEGIES])
+    def test_traced_peq_encodes_and_validates(
+        self, tmp_path, index, tree, strategy
+    ):
+        """PEQ's threshold reaches the trace as a plain float: a JSONL
+        sink encodes every record and the file validates."""
+        structure = tree if strategy is None else index
+        structure.pool = BufferPool(structure.disk, capacity=100)
+        path = tmp_path / "peq.jsonl"
+        query = EqualityQuery(random_query(DOMAIN_SIZE, 0))
+        with tracing_to_path(path):
+            result = structure.execute(query, strategy=strategy)
+        assert validate_jsonl(path) > 0
+        assert len(result) > 0
 
 
 class TestJoinTracing:
