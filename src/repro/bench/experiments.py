@@ -552,7 +552,7 @@ def ablation_join(scale: ExperimentScale | None = None) -> ExperimentResult:
         ):
             index.pool = BufferPool(index.disk, scale.pool_size)
             # pool_size=None keeps this shared-pool protocol; at the
-            # default block size 1 the engine delegates to the legacy
+            # default block size 1 the engine reads exactly like the
             # per-probe join, so the committed baseline is unchanged.
             engine = BlockJoinExecutor(relation, index, block_size=block)
             with MeasureScope(index.disk) as scope:

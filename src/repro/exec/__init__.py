@@ -2,8 +2,8 @@
 
 :mod:`repro.exec.batch` amortizes a query workload over per-batch
 buffer pools (see ``docs/batch-execution.md``); :mod:`repro.exec.join`
-is the block rank-join engine — shared-scan probing, adaptive top-k
-thresholds, and parallel outer partitioning (see ``docs/joins.md``);
+is the block rank-join engine — shared-scan probing and adaptive top-k
+thresholds (see ``docs/joins.md``);
 :mod:`repro.exec.serving` is the measure/serve protocol split — a
 long-lived warm pool with per-request stats-delta I/O attribution
 (see ``docs/serving.md``); :mod:`repro.exec.context` is the value that
@@ -19,9 +19,7 @@ from repro.exec.batch import (
 from repro.exec.join import (
     JOIN_BLOCK_ENV,
     BlockJoinExecutor,
-    block_join,
     join_block_override,
-    parallel_join,
     resolve_join_block,
 )
 from repro.exec.context import ExecContext
@@ -41,9 +39,7 @@ __all__ = [
     "resolve_batch",
     "JOIN_BLOCK_ENV",
     "BlockJoinExecutor",
-    "block_join",
     "join_block_override",
-    "parallel_join",
     "resolve_join_block",
     "ExecContext",
     "DEFAULT_SERVE_POOL_SIZE",

@@ -7,8 +7,7 @@ storage backend and the fault plan.  Each is one
 (``docs/architecture.md``, "Configuration").  A worker process inherits
 neither the parent's scoped overrides nor — under the ``spawn`` start
 method — anything but its environment, so every worker entry point
-(:func:`repro.bench.parallel._run_one`,
-:func:`repro.exec.join._run_join_chunk`, the
+(:func:`repro.bench.parallel._run_one`, the
 :class:`~repro.shard.transport.ProcessTransport` workers) takes one
 :class:`ExecContext`, captured in the parent, and runs inside
 :meth:`ExecContext.scope`: all five by value, never via environment

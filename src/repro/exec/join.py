@@ -9,9 +9,11 @@ join learns a global score bound that the per-probe loop never exploits.
 
 :class:`BlockJoinExecutor` partitions the outer relation into blocks of
 ``block_size`` tuples (``--join-block`` / ``REPRO_JOIN_BLOCK``) and adds
-three composable optimisations, each guarded so that **block size 1
-with no pool override reproduces the per-probe join bit-for-bit** — it
-literally delegates to :mod:`repro.core.joins`:
+three composable optimisations.  The first two need a block of two or
+more tuples and the third needs ``adaptive_tau`` (on by default only
+above block 1), so **block size 1 with no pool override reads, answers
+and traces exactly like the per-probe join** of :mod:`repro.core.joins`,
+which stays the reference:
 
 * **Shared-scan block probing** (PETJ over the inverted index): the
   block's touched posting lists are each read once via
@@ -30,24 +32,17 @@ literally delegates to :mod:`repro.core.joins`:
 * **Adaptive top-k threshold propagation** (PEJ-top-k): a
   :class:`~repro.core.joins.BoundedPairHeap` tracks the global k-th
   pair score; every subsequent probe passes it to the index as
-  ``tau_floor``, so Lemma 1 early stops fire against the *join-wide*
-  threshold instead of each probe's local one.  Probes that ran with a
-  raised bound are traced as ``join.tau_raised``.  Exactness: the floor
-  only ever rises toward the final global k-th score, and any match it
-  suppresses scores strictly below that floor, so it can never displace
-  a retained pair — see ``docs/joins.md`` for the full argument.
-
-:func:`parallel_join` partitions the outer side into contiguous chunks
-and runs one :class:`BlockJoinExecutor` per worker process (each worker
-rebuilds the inner index, so pools are per-worker fresh, mirroring
-:mod:`repro.bench.parallel`), merging chunk results in submission order
-before a final total-order sort.  Workers do not emit trace records;
-only the parent's ``join.begin`` / ``join.end`` bracket survives.
+  ``tau_floor``, so the inverted index's Lemma 1 early stops and the
+  PDR-tree's top-k cut fire against the *join-wide* threshold instead
+  of each probe's local one.  Probes that ran with a raised bound are
+  traced as ``join.tau_raised``.  Exactness: the floor only ever rises
+  toward the final global k-th score, and any match it suppresses
+  scores strictly below that floor, so it can never displace a
+  retained pair — see ``docs/joins.md`` for the full argument.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 
 from repro.core import kernels
@@ -60,9 +55,6 @@ from repro.core.joins import (
     _join_begin,
     _join_end,
     _join_probe,
-    dstj as _legacy_dstj,
-    pej_top_k as _legacy_pej_top_k,
-    petj as _legacy_petj,
 )
 from repro.core.queries import (
     EqualityThresholdQuery,
@@ -83,9 +75,6 @@ from repro.storage.buffer import BufferPool
 
 #: Environment variable selecting the default join block size.
 JOIN_BLOCK_ENV = "REPRO_JOIN_BLOCK"
-
-#: Join kinds :meth:`BlockJoinExecutor.run_outer` dispatches on.
-JOIN_KINDS = ("petj", "pej_top_k", "dstj")
 
 #: The join-block knob: explicit arg > :func:`join_block_override` >
 #: ``REPRO_JOIN_BLOCK`` > 1 (see :class:`repro.core.config.Knob`).  An
@@ -135,10 +124,6 @@ def _tau_raised(left_tid: int, tau: float) -> None:
     tracer = _trace.ACTIVE
     if tracer is not None:
         tracer.event("join.tau_raised", left_tid=left_tid, tau=tau)
-
-
-def _materialize_outer(left: UncertainRelation) -> list:
-    return [(tid, left.uda_of(tid)) for tid in left.tids()]
 
 
 class BlockJoinExecutor:
@@ -213,32 +198,26 @@ class BlockJoinExecutor:
             raise QueryError(
                 f"join threshold must lie in (0, 1], got {threshold}"
             )
-        if self._legacy():
-            return _legacy_petj(
-                left, self.right, threshold, right_index=self.right_index
-            )
         _join_begin("petj", threshold=threshold)
-        pairs, stats, probes = self.run_outer(
-            "petj", _materialize_outer(left), threshold=threshold
+        return self._run(
+            "petj",
+            left,
+            lambda uda: EqualityThresholdQuery(uda, threshold),
+            shared_threshold=threshold if self._inverted() else None,
         )
-        _join_end("petj", pairs=len(pairs), probes=probes)
-        return JoinResult(pairs, stats, probes)
 
     def pej_top_k(self, left: UncertainRelation, k: int) -> JoinResult:
         """Block PEJ-top-k; same contract as
         :func:`repro.core.joins.pej_top_k`."""
         if k < 1:
             raise QueryError(f"k must be >= 1, got {k}")
-        if self._legacy():
-            return _legacy_pej_top_k(
-                left, self.right, k, right_index=self.right_index
-            )
         _join_begin("pej_top_k", k=k)
-        pairs, stats, probes = self.run_outer(
-            "pej_top_k", _materialize_outer(left), k=k
+        return self._run(
+            "pej_top_k",
+            left,
+            lambda uda: EqualityTopKQuery(uda, k),
+            heap=BoundedPairHeap(k),
         )
-        _join_end("pej_top_k", pairs=len(pairs), probes=probes)
-        return JoinResult(pairs, stats, probes)
 
     def dstj(
         self,
@@ -251,72 +230,17 @@ class BlockJoinExecutor:
             raise QueryError(
                 f"DSTJ threshold must be >= 0, got {threshold}"
             )
-        if self._legacy():
-            return _legacy_dstj(
-                left,
-                self.right,
-                threshold,
-                divergence=divergence,
-                right_index=self.right_index,
-            )
         _join_begin("dstj", threshold=threshold)
-        pairs, stats, probes = self.run_outer(
+        return self._run(
             "dstj",
-            _materialize_outer(left),
-            threshold=threshold,
-            divergence=divergence,
+            left,
+            lambda uda: SimilarityThresholdQuery(uda, threshold, divergence),
         )
-        _join_end("dstj", pairs=len(pairs), probes=probes)
-        return JoinResult(pairs, stats, probes)
-
-    def run_outer(
-        self,
-        kind: str,
-        outer: list,
-        *,
-        threshold: float | None = None,
-        k: int | None = None,
-        divergence: str = "l1",
-    ) -> tuple[list[JoinPair], QueryStats, int]:
-        """Engine entry on an explicit ``(tid, uda)`` outer list.
-
-        Parallel workers call this directly with their chunk (chunk tids
-        are the original outer tids, which a relation's 0-based
-        ``tids()`` could not express).  Returns finalized pairs (sorted;
-        top-k truncated), merged stats, and the probe count — without
-        the ``join.begin`` / ``join.end`` bracket the public methods
-        add.
-        """
-        if kind == "petj":
-            if threshold is None:
-                raise QueryError("petj requires a threshold")
-            return self._run_petj(outer, threshold)
-        if kind == "pej_top_k":
-            if k is None:
-                raise QueryError("pej_top_k requires k")
-            return self._run_top_k(outer, k)
-        if kind == "dstj":
-            if threshold is None:
-                raise QueryError("dstj requires a threshold")
-            return self._run_dstj(outer, threshold, divergence)
-        raise QueryError(f"unknown join kind {kind!r}")
 
     # -- internals ----------------------------------------------------------
 
-    def _legacy(self) -> bool:
-        """True when the configuration is exactly the per-probe join."""
-        return (
-            self.block_size == 1
-            and self.pool_size is None
-            and not self.adaptive_tau
-        )
-
     def _inverted(self) -> bool:
         return isinstance(self.inner, ProbabilisticInvertedIndex)
-
-    def _blocks(self, outer: list):
-        for start in range(0, len(outer), self.block_size):
-            yield outer[start : start + self.block_size]
 
     def _fresh_pool(self) -> None:
         if self.pool_size is None:
@@ -332,65 +256,43 @@ class BlockJoinExecutor:
             query, strategy=self.strategy, tau_floor=tau_floor
         )
 
-    def _run_petj(self, outer, threshold):
+    def _run(
+        self,
+        join_kind: str,
+        left: UncertainRelation,
+        make_query,
+        *,
+        heap: BoundedPairHeap | None = None,
+        shared_threshold: float | None = None,
+    ) -> JoinResult:
+        """Probe ``left`` block by block (each on a fresh pool when
+        ``pool_size`` is set).
+
+        ``heap`` (top-k) collects the pairs and feeds the adaptive
+        floor; ``shared_threshold`` (PETJ over the inverted index)
+        scores blocks of two or more tuples by one shared scan.
+        """
+        outer = [(tid, left.uda_of(tid)) for tid in left.tids()]
         stats = QueryStats()
         pairs: list[JoinPair] = []
-        probes = 0
-        shared = self._inverted()
-        for ordinal, block in enumerate(self._blocks(outer)):
+        for ordinal, start in enumerate(range(0, len(outer), self.block_size)):
+            block = outer[start : start + self.block_size]
             self._fresh_pool()
-            if shared and len(block) > 1:
-                block_pairs = self._petj_block_shared(
-                    ordinal, block, threshold, stats
+            if shared_threshold is not None and len(block) > 1:
+                pairs.extend(
+                    self._petj_block_shared(
+                        ordinal, block, shared_threshold, stats
+                    )
                 )
             else:
-                block_pairs = self._probe_block(
-                    "petj",
-                    ordinal,
-                    block,
-                    stats,
-                    lambda uda: EqualityThresholdQuery(uda, threshold),
+                pairs.extend(
+                    self._probe_block(
+                        join_kind, ordinal, block, stats, make_query, heap=heap
+                    )
                 )
-            pairs.extend(block_pairs)
-            probes += len(block)
-        return sorted(pairs), stats, probes
-
-    def _run_top_k(self, outer, k):
-        stats = QueryStats()
-        heap = BoundedPairHeap(k)
-        probes = 0
-        for ordinal, block in enumerate(self._blocks(outer)):
-            self._fresh_pool()
-            self._probe_block(
-                "pej_top_k",
-                ordinal,
-                block,
-                stats,
-                lambda uda: EqualityTopKQuery(uda, k),
-                heap=heap,
-            )
-            probes += len(block)
-        return heap.sorted_pairs(), stats, probes
-
-    def _run_dstj(self, outer, threshold, divergence):
-        stats = QueryStats()
-        pairs: list[JoinPair] = []
-        probes = 0
-        for ordinal, block in enumerate(self._blocks(outer)):
-            self._fresh_pool()
-            pairs.extend(
-                self._probe_block(
-                    "dstj",
-                    ordinal,
-                    block,
-                    stats,
-                    lambda uda: SimilarityThresholdQuery(
-                        uda, threshold, divergence
-                    ),
-                )
-            )
-            probes += len(block)
-        return sorted(pairs), stats, probes
+        pairs = heap.sorted_pairs() if heap is not None else sorted(pairs)
+        _join_end(join_kind, pairs=len(pairs), probes=len(outer))
+        return JoinResult(pairs, stats, len(outer))
 
     def _probe_block(
         self,
@@ -410,13 +312,15 @@ class BlockJoinExecutor:
         adaptive ``tau_floor`` is propagated into each probe.
         """
         queries = [make_query(uda) for _, uda in block]
-        inverted = self._inverted()
-        begin_fields: dict = {"mode": "probe"}
-        if self.strategy is not None:
-            begin_fields["strategy"] = self.strategy
-        _block_begin(join_kind, ordinal, len(block), **begin_fields)
-        grouped = inverted and len(block) > 1
-        if grouped:
+        # At block size 1 each probe is its own block and goes
+        # unbracketed, so it traces exactly like the per-probe join.
+        bracketed = self.block_size > 1
+        if bracketed:
+            begin_fields: dict = {"mode": "probe"}
+            if self.strategy is not None:
+                begin_fields["strategy"] = self.strategy
+            _block_begin(join_kind, ordinal, len(block), **begin_fields)
+        if self._inverted() and len(block) > 1:
             order, counts = plan_shared_order(queries, self.inner.domain_size)
             scope = self.inner.shared_scan()
         else:
@@ -442,7 +346,9 @@ class BlockJoinExecutor:
                     _join_probe(left_tid)
                     floor = (
                         heap.kth_score()
-                        if heap is not None and inverted and self.adaptive_tau
+                        if heap is not None
+                        and self.adaptive_tau
+                        and self.right_index is not None
                         else 0.0
                     )
                     if floor > 0.0:
@@ -463,7 +369,8 @@ class BlockJoinExecutor:
         finally:
             for page_id in pinned:
                 self.inner.pool.unpin_page(page_id)
-        _block_end(join_kind, ordinal, produced, len(pinned))
+        if bracketed:
+            _block_end(join_kind, ordinal, produced, len(pinned))
         return pairs
 
     def _petj_block_shared(
@@ -522,190 +429,3 @@ class BlockJoinExecutor:
         _block_end("petj", ordinal, len(pairs), 0)
         return pairs
 
-
-def block_join(
-    kind: str,
-    left: UncertainRelation,
-    right: UncertainRelation,
-    *,
-    right_index=None,
-    threshold: float | None = None,
-    k: int | None = None,
-    divergence: str = "l1",
-    strategy: str | None = None,
-    block_size: int | None = None,
-    pool_size: int | None = None,
-    pin_reserve: int = DEFAULT_PIN_RESERVE,
-    adaptive_tau: bool | None = None,
-) -> JoinResult:
-    """One-shot block join: build an executor and dispatch on ``kind``."""
-    executor = BlockJoinExecutor(
-        right,
-        right_index,
-        strategy=strategy,
-        block_size=block_size,
-        pool_size=pool_size,
-        pin_reserve=pin_reserve,
-        adaptive_tau=adaptive_tau,
-    )
-    if kind == "petj":
-        if threshold is None:
-            raise QueryError("petj requires a threshold")
-        return executor.petj(left, threshold)
-    if kind == "pej_top_k":
-        if k is None:
-            raise QueryError("pej_top_k requires k")
-        return executor.pej_top_k(left, k)
-    if kind == "dstj":
-        if threshold is None:
-            raise QueryError("dstj requires a threshold")
-        return executor.dstj(left, threshold, divergence)
-    raise QueryError(f"unknown join kind {kind!r}")
-
-
-def _partition_outer(outer: list, chunks: int) -> list[list]:
-    """Split into at most ``chunks`` contiguous, balanced, non-empty runs."""
-    chunks = min(chunks, len(outer))
-    size, extra = divmod(len(outer), chunks)
-    parts = []
-    start = 0
-    for i in range(chunks):
-        stop = start + size + (1 if i < extra else 0)
-        parts.append(outer[start:stop])
-        start = stop
-    return parts
-
-
-def _run_join_chunk(
-    ctx,
-    kind: str,
-    chunk: list,
-    right: UncertainRelation,
-    build_index,
-    params: dict,
-    pool_size: int | None,
-    strategy: str | None,
-    pin_reserve: int,
-    adaptive_tau: bool | None,
-):
-    """Worker-process entry: one outer chunk, per-worker fresh index/pools.
-
-    Module-level so :class:`ProcessPoolExecutor` can pickle it.  Every
-    ambient setting arrives by value in ``ctx`` (an
-    :class:`~repro.exec.context.ExecContext`) — worker processes do not
-    inherit the parent's env/overrides under ``spawn`` — so the index
-    build and every probe run inside ``ctx.scope()``; the block size is
-    the context's ``join_block``.
-    """
-    with ctx.scope():
-        index = build_index(right) if build_index is not None else None
-        executor = BlockJoinExecutor(
-            right,
-            index,
-            strategy=strategy,
-            pool_size=pool_size,
-            pin_reserve=pin_reserve,
-            adaptive_tau=adaptive_tau,
-        )
-        pairs, stats, probes = executor.run_outer(kind, chunk, **params)
-    return pairs, stats, probes
-
-
-def parallel_join(
-    kind: str,
-    left: UncertainRelation,
-    right: UncertainRelation,
-    *,
-    build_index=None,
-    threshold: float | None = None,
-    k: int | None = None,
-    divergence: str = "l1",
-    jobs: int | None = None,
-    strategy: str | None = None,
-    block_size: int | None = None,
-    pool_size: int | None = None,
-    pin_reserve: int = DEFAULT_PIN_RESERVE,
-    adaptive_tau: bool | None = None,
-) -> JoinResult:
-    """Run a block join with the outer side partitioned across processes.
-
-    ``build_index`` is a picklable callable ``relation -> index`` (or
-    ``None`` for naive inner probes); each worker rebuilds the inner
-    index so every chunk gets per-worker fresh pools.  Chunk results
-    merge in submission order (stats therefore merge deterministically,
-    chunk 0's stop reason winning) and the concatenated pairs get one
-    final total-order sort — for top-k, the global top-k is a subset of
-    the union of chunk-local top-ks, so truncating the merged sort is
-    exact.  Answers are identical to the sequential engine at the same
-    block size; only wall-clock changes.  ``jobs`` defaults to
-    ``REPRO_JOBS`` / the CPU count, and workers emit no trace records.
-    """
-    # Imported lazily: repro.bench imports repro.exec at package init,
-    # and the context module imports this one for its knob.
-    from repro.bench.parallel import resolve_jobs
-    from repro.exec.context import ExecContext
-
-    if kind not in JOIN_KINDS:
-        raise QueryError(f"unknown join kind {kind!r}")
-    params: dict = {}
-    begin_fields: dict = {}
-    if kind in ("petj", "dstj"):
-        if threshold is None:
-            raise QueryError(f"{kind} requires a threshold")
-        params["threshold"] = threshold
-        begin_fields["threshold"] = threshold
-        if kind == "dstj":
-            params["divergence"] = divergence
-    else:
-        if k is None:
-            raise QueryError("pej_top_k requires k")
-        params["k"] = k
-        begin_fields["k"] = k
-    outer = _materialize_outer(left)
-    jobs = resolve_jobs(jobs)
-    block = resolve_join_block(block_size)
-    _join_begin(kind, **begin_fields)
-    if jobs <= 1 or len(outer) <= 1:
-        executor = BlockJoinExecutor(
-            right,
-            build_index(right) if build_index is not None else None,
-            strategy=strategy,
-            block_size=block,
-            pool_size=pool_size,
-            pin_reserve=pin_reserve,
-            adaptive_tau=adaptive_tau,
-        )
-        pairs, stats, probes = executor.run_outer(kind, outer, **params)
-    else:
-        ctx = ExecContext.capture(join_block=block)
-        chunks = _partition_outer(outer, jobs)
-        merged: list[JoinPair] = []
-        stats = QueryStats()
-        probes = 0
-        with ProcessPoolExecutor(max_workers=len(chunks)) as executor_pool:
-            futures = [
-                executor_pool.submit(
-                    _run_join_chunk,
-                    ctx,
-                    kind,
-                    chunk,
-                    right,
-                    build_index,
-                    params,
-                    pool_size,
-                    strategy,
-                    pin_reserve,
-                    adaptive_tau,
-                )
-                for chunk in chunks
-            ]
-            for future in futures:
-                chunk_pairs, chunk_stats, chunk_probes = future.result()
-                merged.extend(chunk_pairs)
-                stats.merge(chunk_stats)
-                probes += chunk_probes
-        pairs = sorted(merged)
-        if kind == "pej_top_k":
-            del pairs[k:]
-    _join_end(kind, pairs=len(pairs), probes=probes)
-    return JoinResult(pairs, stats, probes)

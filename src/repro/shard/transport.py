@@ -10,10 +10,9 @@ Three implementations of one probe surface:
 * :class:`ProcessTransport` — one single-worker process pool per
   shard.  Slices and the captured
   :class:`~repro.exec.context.ExecContext` ship *by value* (the
-  worker-shipping discipline of :mod:`repro.bench.parallel` and
-  ``exec/join.py``); each worker builds its shard once and holds it
-  for the transport's lifetime, so probes within a round genuinely
-  overlap.
+  worker-shipping discipline of :mod:`repro.bench.parallel`); each
+  worker builds its shard once and holds it for the transport's
+  lifetime, so probes within a round genuinely overlap.
 * :class:`ServeTransport` — remote shards behind
   :class:`repro.serve.server.QueryServer` instances, reached with one
   pipelined :class:`~repro.serve.client.ServeClient` per shard.  The

@@ -25,10 +25,10 @@ GOLDEN_DIR = REPO_ROOT / "benchmarks" / "results"
 
 #: Cheap experiments covering both index families (PDR-tree, inverted
 #: index) — the pair the CI determinism job smoke-runs — plus the join
-#: ablation, which now routes through the block rank-join engine and
-#: must keep reproducing its pre-engine golden at the default block
-#: size (the engine delegates to the legacy per-probe join there), and
-#: the strategy ablation, the one golden that runs all five search
+#: ablation, which routes through the block rank-join engine and must
+#: keep reproducing its pre-engine golden at the default block size
+#: (a block of one reads exactly like the per-probe join), and the
+#: strategy ablation, the one golden that runs all five search
 #: strategies (NRA's list masks included).
 PINNED = ("fig10", "abl_buffer", "abl_join", "abl_strategies")
 

@@ -2,16 +2,16 @@
 
 import pytest
 
-from repro.core import QueryError, joins
+from repro.core import EqualityTopKQuery, QueryError, QueryStats, joins
 from repro.exec import (
     JOIN_BLOCK_ENV,
     BlockJoinExecutor,
-    block_join,
     join_block_override,
     resolve_join_block,
 )
-from repro.invindex import ProbabilisticInvertedIndex
+from repro.invindex import STRATEGIES, ProbabilisticInvertedIndex
 from repro.obs.trace import MemorySink, Tracer, tracing
+from repro.pdrtree import PDRTree
 from repro.storage import BufferPool
 
 from tests.invindex.conftest import random_relation
@@ -30,6 +30,10 @@ def dataset():
 
 def _snap(result):
     return [(p.left_tid, p.right_tid, p.score) for p in result]
+
+
+def _bits(result):
+    return [(p.left_tid, p.right_tid, p.score.hex()) for p in result]
 
 
 class TestResolveJoinBlock:
@@ -93,8 +97,6 @@ class TestConstruction:
             engine.pej_top_k(outer, 0)
         with pytest.raises(QueryError):
             engine.dstj(outer, -0.5)
-        with pytest.raises(QueryError):
-            block_join("cross", outer, right, threshold=0.5)
 
     def test_adaptive_defaults_track_block_size(self, dataset):
         _, right, _ = dataset
@@ -137,6 +139,26 @@ class TestProtocolIdentity:
             assert engine.stats == legacy.stats
             assert engine.num_probes == legacy.num_probes
             assert engine_reads == legacy_reads
+
+    @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+    def test_block_one_probes_with_the_given_strategy(self, dataset, strategy):
+        """Block size 1 on the caller's pool is the per-probe loop run
+        with ``strategy=``: same merged stats, same reads."""
+        outer, right, index = dataset
+        index.pool = BufferPool(index.disk, POOL_SIZE)
+        before = index.disk.stats.snapshot()
+        stats = QueryStats()
+        for tid in outer.tids():
+            query = EqualityTopKQuery(outer.uda_of(tid), 5)
+            stats.merge(index.execute(query, strategy=strategy).stats)
+        reads = index.disk.stats.delta_since(before).reads
+        index.pool = BufferPool(index.disk, POOL_SIZE)
+        before = index.disk.stats.snapshot()
+        result = BlockJoinExecutor(
+            right, index, strategy=strategy, block_size=1
+        ).pej_top_k(outer, 5)
+        assert result.stats == stats
+        assert index.disk.stats.delta_since(before).reads == reads
 
     def test_blocks_never_read_more_pages(self, dataset):
         outer, right, index = dataset
@@ -219,6 +241,44 @@ class TestAdaptiveTau:
             return after.get("postings", 0) - before.get("postings", 0)
 
         assert posting_reads(True) <= posting_reads(False)
+
+    def test_pdr_inner_takes_the_join_wide_floor(self):
+        """The PDR-tree's top-k walk cuts at the join-wide floor too:
+        never more node reads than the fixed path, strictly fewer for
+        some k, and the reference join's answer bit for bit."""
+        right = random_relation(2000, 30, seed=3)
+        outer = random_relation(64, 30, seed=37)
+        tree = PDRTree(len(right.domain))
+        tree.build(right)
+
+        def node_reads(run):
+            tree.pool = BufferPool(tree.disk, POOL_SIZE)
+            before = tree.disk.snapshot_tags()
+            result = run()
+            after = tree.disk.snapshot_tags()
+            return result, after["pdr-node"] - before.get("pdr-node", 0)
+
+        def blocked(k, adaptive):
+            engine = BlockJoinExecutor(
+                right,
+                tree,
+                block_size=8,
+                pool_size=POOL_SIZE,
+                adaptive_tau=adaptive,
+            )
+            return node_reads(lambda: engine.pej_top_k(outer, k))
+
+        saved = []
+        for k in (1, 3, 9, 25):
+            reference, _ = node_reads(
+                lambda: joins.pej_top_k(outer, right, k, right_index=tree)
+            )
+            adaptive, adaptive_reads = blocked(k, True)
+            _, fixed_reads = blocked(k, False)
+            assert _bits(adaptive) == _bits(reference), k
+            assert adaptive_reads <= fixed_reads, k
+            saved.append(fixed_reads - adaptive_reads)
+        assert max(saved) > 0, saved
 
 
 class TestBlockTracing:

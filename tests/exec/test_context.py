@@ -8,21 +8,31 @@ under the parent's settings.
 """
 
 import multiprocessing
+import os
 import pickle
-from functools import partial
 
 import pytest
 
+from repro.core import (
+    EqualityThresholdQuery,
+    EqualityTopKQuery,
+    SimilarityThresholdQuery,
+    SimilarityTopKQuery,
+)
 from repro.exec import (
     ExecContext,
     batch_override,
     join_block_override,
-    parallel_join,
     resolve_batch,
     resolve_join_block,
 )
-from repro.invindex import ProbabilisticInvertedIndex
-from repro.sketch import resolve_sketch, sketch_override
+from repro.shard import (
+    LocalTransport,
+    ProcessTransport,
+    ShardCoordinator,
+    ShardedIndex,
+)
+from repro.sketch import SketchParams, resolve_sketch, sketch_override
 from repro.storage import (
     BackendSpec,
     FaultPlan,
@@ -32,7 +42,7 @@ from repro.storage import (
     fault_plan,
 )
 
-from tests.invindex.conftest import random_relation
+from tests.invindex.conftest import random_query, random_relation
 
 
 def _resolved():
@@ -97,50 +107,47 @@ def test_protocol_keys():
     }
 
 
-def _checked_build(expected, relation):
-    """A ``build_index`` that refuses to run under foreign settings.
+def test_spawned_shard_workers_run_under_the_parents_overrides(tmp_path):
+    """Regression: a worker entry point that shipped only some settings
+    built on the default backend and probed with ``REPRO_SKETCH``
+    unset under ``spawn``.  Each :class:`ProcessTransport` worker must
+    build its shard inside the parent's :class:`ExecContext` — its page
+    files land in the parent's mmap directory — and answer exactly as
+    the in-process shards do under the same overrides."""
+    relation = random_relation(60, 8, seed=3)
+    queries = [
+        EqualityThresholdQuery(random_query(8, seed=11), 0.1),
+        EqualityTopKQuery(random_query(8, seed=12), 5),
+        SimilarityThresholdQuery(random_query(8, seed=13), 0.9, "l1"),
+        SimilarityTopKQuery(random_query(8, seed=14), 4, "l2"),
+    ]
 
-    Module-level (and carried in a ``partial``) so spawned workers can
-    unpickle it; raising here fails the worker's future, which
-    ``parallel_join`` re-raises in the parent.
-    """
-    actual = (resolve_batch(), resolve_sketch(), active_backend_spec())
-    if actual != expected:
-        raise AssertionError(
-            f"worker resolved {actual}, the parent had {expected}"
-        )
-    index = ProbabilisticInvertedIndex(len(relation.domain))
-    index.build(relation)
-    index.build_sketch()
-    return index
+    def answers(transport):
+        coordinator = ShardCoordinator(transport, fanout=1)
+        return [
+            [(m.tid, m.score) for m in coordinator.execute(query).matches]
+            for query in queries
+        ]
 
-
-def test_spawned_join_workers_run_under_the_parents_overrides(tmp_path):
-    """Regression: ``_run_join_chunk`` shipped only some settings and
-    dropped backend and sketch, so under ``spawn`` DSTJ workers built on
-    the default backend and probed with ``REPRO_SKETCH`` unset.  The
-    batch size stands in for the settings it did ship."""
-    relation = random_relation(24, 8, seed=3)
     previous = multiprocessing.get_start_method()
     multiprocessing.set_start_method("spawn", force=True)
     try:
         with batch_override(7), sketch_override(
             "exact"
         ), backend_scope(BackendSpec("mmap", directory=str(tmp_path))):
-            expected = (resolve_batch(), resolve_sketch(), active_backend_spec())
-            join = partial(
-                parallel_join,
-                "dstj",
-                relation,
-                relation,
-                build_index=partial(_checked_build, expected),
-                threshold=0.9,
-                block_size=4,
-                pool_size=16,
+            sharded = ShardedIndex.build(
+                relation, 2, sketch_params=SketchParams()
             )
-            spawned = join(jobs=2)
-            inline = join(jobs=1)
+            local = answers(LocalTransport(sharded))
+            with ProcessTransport.from_sharded_index(sharded) as transport:
+                spawned = answers(transport)
+                writers = {
+                    path.name.split("-")[1]
+                    for path in tmp_path.glob("disk-*.pages")
+                }
     finally:
         multiprocessing.set_start_method(previous, force=True)
-    assert spawned.pairs == inline.pairs
-    assert spawned.num_probes == inline.num_probes == len(relation)
+    # Page files are named disk-<pid>-<n>: the parent's own shards plus
+    # one builder process per shard.
+    assert len(writers - {str(os.getpid())}) == 2
+    assert spawned == local

@@ -143,36 +143,3 @@ def test_agreement_under_faults(dataset):
         assert index.pool.pinned_page_ids() == []
         assert tree.pool.pinned_page_ids() == []
 
-
-def _build_inverted(relation):
-    """Module-level so ProcessPoolExecutor workers can pickle it."""
-    built = ProbabilisticInvertedIndex(len(relation.domain))
-    built.build(relation)
-    return built
-
-
-def test_parallel_join_matches_sequential(dataset):
-    """Chunked multi-process execution returns the sequential answer."""
-    from repro.exec import parallel_join
-
-    outer, right, index, _ = dataset
-    for kind, kw in (
-        ("petj", {"threshold": 0.2}),
-        ("pej_top_k", {"k": 6}),
-        ("dstj", {"threshold": 0.7, "divergence": "l2"}),
-    ):
-        builder = None if kind == "dstj" else _build_inverted
-        expected = _snap(
-            _legacy(kind, outer, right, None if kind == "dstj" else index, **kw)
-        )
-        got = parallel_join(
-            kind,
-            outer,
-            right,
-            build_index=builder,
-            jobs=3,
-            block_size=4,
-            pool_size=POOL_SIZE,
-            **kw,
-        )
-        assert _snap(got) == expected, f"parallel {kind} diverges"

@@ -18,6 +18,8 @@ Traces are captured with a fresh 100-frame buffer pool per execution
 are deterministic.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core import (
@@ -379,25 +381,46 @@ class TestBlockJoinTracing:
             assert record["probes"] >= 2
 
     def test_block_one_trace_matches_per_probe_join(self, relation, index):
-        """Default-config block size 1 emits byte-identical records to the
-        legacy per-probe join — the engine delegates outright."""
+        """Block size 1 runs the engine's own loop, yet emits
+        byte-identical records, pairs, stats and probe counts to the
+        per-probe reference join — every join, index and naive inner."""
+        from repro.core import joins
         from repro.exec import BlockJoinExecutor
 
         left = random_relation(6, DOMAIN_SIZE, seed=3)
 
-        def run(use_engine):
+        def run(kind, arg, inner, use_engine):
             sink = MemorySink()
             with fault_plan(FaultPlan()), tracing(Tracer(sink)):
                 index.pool = BufferPool(index.disk, capacity=100)
                 if use_engine:
-                    BlockJoinExecutor(relation, index, block_size=1).petj(
-                        left, 0.3
-                    )
+                    engine = BlockJoinExecutor(relation, inner, block_size=1)
+                    result = getattr(engine, kind)(left, arg)
                 else:
-                    petj(left, relation, 0.3, right_index=index)
-            return sink.jsonl_lines()
+                    result = getattr(joins, kind)(
+                        left, relation, arg, right_index=inner
+                    )
+            return {
+                "trace": sink.jsonl_lines(),
+                "pairs": [
+                    (p.left_tid, p.right_tid, p.score.hex()) for p in result
+                ],
+                "stats": dataclasses.asdict(result.stats),
+                "probes": result.num_probes,
+            }
 
-        assert run(True) == run(False)
+        for kind, arg in (("petj", 0.3), ("pej_top_k", 4), ("dstj", 0.8)):
+            for inner in (index, None):
+                engine = run(kind, arg, inner, True)
+                reference = run(kind, arg, inner, False)
+                assert reference["pairs"], kind
+                assert reference["probes"] == len(left)
+                for field in reference:
+                    assert engine[field] == reference[field], (
+                        kind,
+                        inner,
+                        field,
+                    )
 
     def test_adaptive_tau_never_reads_more_posting_pages(self, relation, index):
         """The raised bound may only *save* posting I/O vs the fixed path."""
